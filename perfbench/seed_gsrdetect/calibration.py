@@ -1,0 +1,309 @@
+"""Detection-threshold calibration.
+
+Monte Carlo path: simulate K replications of a length-N Gaussian sequence,
+scan every candidate time of the zone {n+1, ..., N-n+1} with each window
+length, record the per-replication maximum of each ratio statistic, and take
+the empirical upper quantile of the K maxima.  Scanning the maximum over the
+zone absorbs the dependence between overlapping windows that a single-point
+quantile would ignore.
+
+Analytic path: single-point critical values from the pivotal F laws,
+  mean:     rho = F^{-1}(alpha; d, 2(n-1)d) / (n-1) + 2
+  variance: rho = F^{-1}(alpha; (n-1)d, (n-1)d)
+
+Thresholds are pivotal: they depend only on (n, d, alpha), never on the
+unknown mean/variance of the monitored data.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
+
+import numpy as np
+
+from .distributions import FisherParams, derived_rng, fisher_upper_quantile
+from .ratios import StatKind
+from .windows import sliding_spanning_stats
+
+__all__ = [
+    "CalibrationError",
+    "CalibrationConfig",
+    "ThresholdEntry",
+    "ThresholdTable",
+    "calibrate_monte_carlo",
+    "analytic_threshold_mu",
+    "analytic_threshold_sigma",
+    "analytic_table",
+    "empirical_upper_quantile",
+    "bootstrap_quantile_se",
+]
+
+TABLE_FORMAT_VERSION = 1
+
+DEFAULT_REPLICATIONS = 2000
+
+
+class CalibrationError(ValueError):
+    """Calibration cannot produce the requested thresholds."""
+
+
+def _quantile_index(count: int, alpha: float) -> int:
+    """1-based order-statistic index ceil((1 - alpha) * count), computed robustly.
+
+    Raises when count * alpha < 1, i.e. when the tail is not resolvable from
+    ``count`` replications.
+    """
+    tail = alpha * count
+    if tail < 1.0 - 1e-9:
+        raise CalibrationError(
+            f"quantile unresolvable: alpha={alpha} needs more than {count} replications"
+        )
+    return count - int(math.floor(tail + 1e-9))
+
+
+def empirical_upper_quantile(values, alpha: float) -> float:
+    """Conservative empirical upper-alpha quantile (order statistic, no interpolation)."""
+    v = np.asarray(values, dtype=float)
+    k = _quantile_index(v.size, alpha)
+    k = max(k, 1)
+    return float(np.partition(v, k - 1)[k - 1])
+
+
+def bootstrap_quantile_se(values, alpha: float, resamples: int = 500, seed: int = 0) -> float:
+    """Bootstrap standard error of :func:`empirical_upper_quantile`."""
+    v = np.asarray(values, dtype=float)
+    rng = derived_rng(seed, 0xB007)
+    estimates = np.empty(resamples)
+    for b in range(resamples):
+        estimates[b] = empirical_upper_quantile(rng.choice(v, size=v.size, replace=True), alpha)
+    return float(estimates.std(ddof=1))
+
+
+@dataclass(frozen=True)
+class CalibrationConfig:
+    """Inputs of one Monte Carlo calibration run.
+
+    ``alphas`` maps (statistic kind, window half-length) to the per-test
+    significance level.  ``base_mean``/``base_scale`` set the simulated
+    Gaussian law; by pivotality the resulting thresholds do not depend on
+    them, and the defaults (standard normal) are what production runs use.
+    """
+
+    window_lengths: tuple[int, ...]
+    dimension: int
+    alphas: Mapping[tuple[StatKind, int], float]
+    zone_length: int | None = None
+    replications: int = DEFAULT_REPLICATIONS
+    seed: int = 0
+    base_mean: float = 0.0
+    base_scale: float = 1.0
+
+    def resolved_zone_length(self) -> int:
+        return self.zone_length if self.zone_length is not None else 6 * max(self.window_lengths)
+
+    def validate(self) -> None:
+        if not self.window_lengths:
+            raise CalibrationError("no window lengths given")
+        if any(n < 2 for n in self.window_lengths):
+            raise CalibrationError("window half-lengths must be at least 2")
+        if len(set(self.window_lengths)) != len(self.window_lengths):
+            raise CalibrationError("duplicate window lengths")
+        if self.dimension < 1:
+            raise CalibrationError(f"dimension must be at least 1, got {self.dimension}")
+        if self.replications < 1:
+            raise CalibrationError("need at least one replication")
+        n_max = max(self.window_lengths)
+        zone = self.resolved_zone_length()
+        if zone < 2 * n_max:
+            raise CalibrationError(
+                f"zone length {zone} shorter than the largest window 2x{n_max}"
+            )
+        if self.base_scale <= 0:
+            raise CalibrationError("base_scale must be positive")
+        for n in self.window_lengths:
+            for kind in StatKind:
+                alpha = self.alphas.get((kind, n))
+                if alpha is None:
+                    raise CalibrationError(f"missing alpha for ({kind}, n={n})")
+                if not (0.0 < alpha < 1.0):
+                    raise CalibrationError(f"alpha for ({kind}, n={n}) not in (0, 1): {alpha}")
+                _quantile_index(self.replications, alpha)
+
+
+@dataclass(frozen=True)
+class ThresholdEntry:
+    kind: StatKind
+    n: int
+    alpha: float
+    rho: float
+    provenance: str  # "monte_carlo" | "analytic"
+
+
+@dataclass(frozen=True)
+class ThresholdTable:
+    """Calibrated critical values, keyed by (statistic kind, window half-length)."""
+
+    dimension: int
+    entries: tuple[ThresholdEntry, ...]
+    seed: int | None = None
+    replications: int | None = None
+    zone_length: int | None = None
+    _index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        index = {(e.kind, e.n): e for e in self.entries}
+        if len(index) != len(self.entries):
+            raise ValueError("duplicate (kind, n) entries in threshold table")
+        object.__setattr__(self, "_index", index)
+
+    @property
+    def window_lengths(self) -> tuple[int, ...]:
+        return tuple(sorted({e.n for e in self.entries}))
+
+    def entry(self, kind: StatKind, n: int) -> ThresholdEntry:
+        try:
+            return self._index[(kind, n)]
+        except KeyError:
+            raise KeyError(f"no threshold for ({kind}, n={n})") from None
+
+    def threshold(self, kind: StatKind, n: int) -> float:
+        return self.entry(kind, n).rho
+
+    def to_json(self) -> str:
+        doc = {
+            "version": TABLE_FORMAT_VERSION,
+            "dimension": self.dimension,
+            "seed": self.seed,
+            "K": self.replications,
+            "N": self.zone_length,
+            "entries": [
+                {
+                    "kind": e.kind.value,
+                    "n": e.n,
+                    "alpha": e.alpha,
+                    "rho": e.rho,
+                    "provenance": e.provenance,
+                }
+                for e in self.entries
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "ThresholdTable":
+        doc = json.loads(text)
+        version = doc.get("version")
+        if version != TABLE_FORMAT_VERSION:
+            raise ValueError(f"unsupported threshold-table version: {version!r}")
+        entries = tuple(
+            ThresholdEntry(
+                kind=StatKind(e["kind"]),
+                n=int(e["n"]),
+                alpha=float(e["alpha"]),
+                rho=float(e["rho"]),
+                provenance=str(e["provenance"]),
+            )
+            for e in doc["entries"]
+        )
+        return cls(
+            dimension=int(doc["dimension"]),
+            entries=entries,
+            seed=doc.get("seed"),
+            replications=doc.get("K"),
+            zone_length=doc.get("N"),
+        )
+
+
+def _entry_order(window_lengths: Iterable[int]):
+    for kind in StatKind:
+        for n in sorted(window_lengths):
+            yield kind, n
+
+
+def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], np.ndarray]:
+    """Per-replication zone maxima of every statistic, keyed by (kind, n).
+
+    The building block of :func:`calibrate_monte_carlo`, exposed separately so
+    uncertainty estimates (bootstrap standard errors of the thresholds) can be
+    computed from the same maxima.  Replication k draws its Gaussian sequence
+    from the generator derived from (seed, k), so the result is independent of
+    replication order and reproducible run to run.
+    """
+    config.validate()
+    windows = tuple(sorted(config.window_lengths))
+    n_zone = config.resolved_zone_length()
+    k_reps = config.replications
+    maxima = {key: np.empty(k_reps) for key in _entry_order(windows)}
+
+    for k in range(k_reps):
+        rng = derived_rng(config.seed, k)
+        y = config.base_mean + config.base_scale * rng.standard_normal(
+            (n_zone, config.dimension)
+        )
+        for n in windows:
+            s = sliding_spanning_stats(y, n)
+            halves = s.w_left + s.w_right
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r_mu = np.where(halves > 0.0, s.w_full / halves, -np.inf)
+                r_plus = np.where(s.w_left > 0.0, s.w_right / s.w_left, -np.inf)
+                r_minus = np.where(s.w_right > 0.0, s.w_left / s.w_right, -np.inf)
+            maxima[(StatKind.MU, n)][k] = r_mu.max()
+            maxima[(StatKind.SIGMA_PLUS, n)][k] = r_plus.max()
+            maxima[(StatKind.SIGMA_MINUS, n)][k] = r_minus.max()
+    return maxima
+
+
+def calibrate_monte_carlo(config: CalibrationConfig) -> ThresholdTable:
+    """Estimate max-over-zone thresholds by Monte Carlo simulation."""
+    maxima = calibration_maxima(config)
+    entries = []
+    for kind, n in _entry_order(config.window_lengths):
+        alpha = config.alphas[(kind, n)]
+        rho = empirical_upper_quantile(maxima[(kind, n)], alpha)
+        entries.append(
+            ThresholdEntry(kind=kind, n=n, alpha=alpha, rho=rho, provenance="monte_carlo")
+        )
+    return ThresholdTable(
+        dimension=config.dimension,
+        entries=tuple(entries),
+        seed=config.seed,
+        replications=config.replications,
+        zone_length=config.resolved_zone_length(),
+    )
+
+
+def analytic_threshold_mu(n: int, d: float, alpha: float) -> float:
+    """Single-point critical value for the mean ratio at level alpha."""
+    if n < 2:
+        raise ValueError(f"window half-length must be at least 2, got {n}")
+    q = fisher_upper_quantile(FisherParams(d, 2 * (n - 1) * d), alpha)
+    return q / (n - 1) + 2.0
+
+
+def analytic_threshold_sigma(n: int, d: float, alpha: float) -> float:
+    """Single-point critical value for either variance ratio at level alpha."""
+    if n < 2:
+        raise ValueError(f"window half-length must be at least 2, got {n}")
+    k = (n - 1) * d
+    return fisher_upper_quantile(FisherParams(k, k), alpha)
+
+
+def analytic_table(
+    window_lengths: Iterable[int],
+    dimension: int,
+    alphas: Mapping[tuple[StatKind, int], float],
+) -> ThresholdTable:
+    """Threshold table built from the analytic single-point critical values."""
+    windows = tuple(sorted(window_lengths))
+    entries = []
+    for kind, n in _entry_order(windows):
+        alpha = alphas[(kind, n)]
+        if kind is StatKind.MU:
+            rho = analytic_threshold_mu(n, dimension, alpha)
+        else:
+            rho = analytic_threshold_sigma(n, dimension, alpha)
+        entries.append(ThresholdEntry(kind=kind, n=n, alpha=alpha, rho=rho, provenance="analytic"))
+    return ThresholdTable(dimension=dimension, entries=tuple(entries))

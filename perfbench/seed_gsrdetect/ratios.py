@@ -1,0 +1,116 @@
+"""Graph-spanning ratio statistics and their null distributions.
+
+A warm window's spanning decomposition maps to three scalar test statistics:
+
+* ``r_mu``       = w_full / (w_left + w_right), sensitive to a mean change at
+  the window midpoint;
+* ``r_sigma_plus``  = w_right / w_left, sensitive to a variance increase;
+* ``r_sigma_minus`` = w_left / w_right, sensitive to a variance decrease.
+
+For i.i.d. Gaussian data with covariance sigma^2 I the statistics are pivotal:
+(r_mu - 2)(n - 1) is F(d, 2(n-1)d) distributed and r_sigma_+/- are
+F((n-1)d, (n-1)d) distributed, independently of the unknown mean and variance.
+A ratio with a zero denominator carries no two-sample evidence and is encoded
+as ``None`` (degenerate) rather than raising.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import stats
+
+from .windows import SpanningDecomposition
+
+__all__ = [
+    "StatKind",
+    "GsrTriple",
+    "compute_gsr",
+    "null_law_mu",
+    "null_law_sigma",
+    "effective_dof",
+]
+
+
+class StatKind(str, enum.Enum):
+    """The three statistic families, in reporting order."""
+
+    MU = "mu"
+    SIGMA_PLUS = "sigma+"
+    SIGMA_MINUS = "sigma-"
+
+    def __str__(self) -> str:  # keep "mu" rather than "StatKind.MU" in output
+        return self.value
+
+
+@dataclass(frozen=True)
+class GsrTriple:
+    """The three ratio statistics at one candidate change time.
+
+    A ``None`` field marks a degenerate ratio (zero denominator); degenerate
+    ratios never trigger detections.  ``t_index`` is the candidate change time
+    in stream coordinates (1-based position of the first right-half
+    observation).
+    """
+
+    r_mu: float | None
+    r_sigma_plus: float | None
+    r_sigma_minus: float | None
+    t_index: int
+
+    def value_of(self, kind: StatKind) -> float | None:
+        if kind is StatKind.MU:
+            return self.r_mu
+        if kind is StatKind.SIGMA_PLUS:
+            return self.r_sigma_plus
+        return self.r_sigma_minus
+
+
+def compute_gsr(decomp: SpanningDecomposition, t: int) -> GsrTriple:
+    """Map a warm window's spanning decomposition to its GSR triple."""
+    halves = decomp.w_left + decomp.w_right
+    r_mu = decomp.w_full / halves if halves > 0.0 else None
+    r_plus = decomp.w_right / decomp.w_left if decomp.w_left > 0.0 else None
+    r_minus = decomp.w_left / decomp.w_right if decomp.w_right > 0.0 else None
+    return GsrTriple(r_mu=r_mu, r_sigma_plus=r_plus, r_sigma_minus=r_minus, t_index=t)
+
+
+def _check_n_d(n: int, d: float) -> None:
+    if n < 2:
+        raise ValueError(f"window half-length must be at least 2, got {n}")
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
+
+
+def null_law_mu(n: int, d: float):
+    """Null law of (r_mu - 2) * (n - 1): a frozen F(d, 2(n-1)d) distribution.
+
+    ``d`` may be fractional (effective degrees of freedom for unequal
+    per-coordinate variances).
+    """
+    _check_n_d(n, d)
+    return stats.f(d, 2 * (n - 1) * d)
+
+
+def null_law_sigma(n: int, d: float):
+    """Null law of r_sigma_+/-: a frozen F((n-1)d, (n-1)d) distribution."""
+    _check_n_d(n, d)
+    k = (n - 1) * d
+    return stats.f(k, k)
+
+
+def effective_dof(variances) -> float:
+    """Welch-Satterthwaite effective dimension for unequal per-coordinate variances.
+
+    For variances v_1..v_d returns (sum v_i)^2 / sum v_i^2, which lies in
+    [1, d] and equals d exactly when all variances agree.
+    """
+    v = np.asarray(variances, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("variances must be a nonempty vector")
+    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        raise ValueError("variances must be strictly positive and finite")
+    total = float(v.sum())
+    return total * total / float(v @ v)
