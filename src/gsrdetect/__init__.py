@@ -60,6 +60,7 @@ from .ratios import (
     effective_dof,
     null_law_mu,
     null_law_sigma,
+    sliding_gsr,
 )
 from .simulate import (
     PowerReport,
@@ -122,6 +123,7 @@ __all__ = [
     "effective_dof",
     "null_law_mu",
     "null_law_sigma",
+    "sliding_gsr",
     "PowerReport",
     "Scenario",
     "classify_outcome",

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
-from .ratios import StatKind
+from .ratios import StatKind, sliding_gsr
 from .windows import sliding_spanning_stats
 
 __all__ = [
@@ -244,15 +244,9 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
             (n_zone, config.dimension)
         )
         for n in windows:
-            s = sliding_spanning_stats(y, n)
-            halves = s.w_left + s.w_right
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r_mu = np.where(halves > 0.0, s.w_full / halves, -np.inf)
-                r_plus = np.where(s.w_left > 0.0, s.w_right / s.w_left, -np.inf)
-                r_minus = np.where(s.w_right > 0.0, s.w_left / s.w_right, -np.inf)
-            maxima[(StatKind.MU, n)][k] = r_mu.max()
-            maxima[(StatKind.SIGMA_PLUS, n)][k] = r_plus.max()
-            maxima[(StatKind.SIGMA_MINUS, n)][k] = r_minus.max()
+            ratios = sliding_gsr(sliding_spanning_stats(y, n))
+            for kind, r in zip(StatKind, ratios):
+                maxima[(kind, n)][k] = r.max()
     return maxima
 
 

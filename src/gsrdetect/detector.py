@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .calibration import ThresholdTable, analytic_table
-from .ratios import GsrTriple, StatKind, compute_gsr
-from .windows import ObservationWindow, sliding_spanning_stats
+from .ratios import GsrTriple, StatKind, compute_gsr, sliding_gsr
+from .windows import ObservationWindow, _NonFiniteError, sliding_spanning_stats
 
 __all__ = [
     "EVENT_KIND",
@@ -322,55 +322,74 @@ def detect_stream(
     """Run the detector over a whole in-memory stream.
 
     Vectorised over time, with events (including halt/cooldown behaviour)
-    identical to feeding the stream through :meth:`Detector.step`.
+    identical to feeding the stream through :meth:`Detector.step`.  Every
+    exceedance is gathered as arrays, ordered by (tick, family, window) with
+    one sort, and events are built only for the ticks the policy keeps.
     """
     y = np.asarray(stream, dtype=float)
     if y.ndim != 2:
         raise ValueError("stream must be a (T, d) array")
-    if not np.all(np.isfinite(y)):
+    t_len, dimension = y.shape
+    windows = [n for n in sorted(config.windows) if t_len >= 2 * n]
+    # Every row lies in a warm window of the shortest length, so the scans
+    # check the whole stream for non-finite values.
+    try:
+        scans = [(n, sliding_spanning_stats(y, n)) for n in windows]
+    except _NonFiniteError:
+        raise ValueError("stream contains non-finite values") from None
+    if not scans and not np.all(np.isfinite(y)):
         raise ValueError("stream contains non-finite values")
-    dimension = y.shape[1]
     table = _resolve_thresholds(config, dimension, thresholds)
-    t_len = y.shape[0]
 
-    # (clock, family order, n) -> event, gathered from the vectorised scan.
-    raw: dict[int, list[DetectionEvent]] = {}
-    for n in sorted(config.windows):
-        if t_len < 2 * n:
-            continue
-        s = sliding_spanning_stats(y, n)
-        pairs = {
-            StatKind.MU: (s.w_full, s.w_left + s.w_right),
-            StatKind.SIGMA_PLUS: (s.w_right, s.w_left),
-            StatKind.SIGMA_MINUS: (s.w_left, s.w_right),
-        }
-        for kind, (numer, denom) in pairs.items():
+    # One array per column of the exceedances: tick, family rank, window,
+    # statistic and threshold.
+    columns: list[tuple[np.ndarray, ...]] = []
+    for n, s in scans:
+        for rank, (kind, stat) in enumerate(zip(StatKind, sliding_gsr(s))):
             rho = table.threshold(kind, n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                stat = np.where(denom > 0.0, numer / denom, -np.inf)
-            for i in np.nonzero(stat >= rho)[0]:
-                clock = int(s.clocks[i])
-                raw.setdefault(clock, []).append(
-                    DetectionEvent(
-                        kind=EVENT_KIND[kind],
-                        change_at=clock - n + 1,
-                        window=n,
-                        statistic=float(stat[i]),
-                        threshold=rho,
-                        detected_at=clock,
-                    )
+            hit = np.flatnonzero(stat >= rho)
+            if hit.size:
+                columns.append(
+                    (s.clocks[hit], np.full(hit.size, rank), np.full(hit.size, n),
+                     stat[hit], np.full(hit.size, rho))
                 )
+    if not columns:
+        return []
+    clock, rank, window, stat, rho = (np.concatenate(c) for c in zip(*columns))
+    order = np.lexsort((window, rank, clock))
+    clock = clock[order]
 
-    kind_rank = {name: i for i, name in enumerate(EVENT_KIND.values())}
-    events: list[DetectionEvent] = []
-    cooldown_until = 0
-    for clock in sorted(raw):
-        if config.policy == "cooldown" and clock <= cooldown_until:
-            continue
-        tick_events = sorted(raw[clock], key=lambda e: (kind_rank[e.kind], e.window))
-        events.extend(tick_events)
-        if config.policy == "halt":
-            break
-        if config.policy == "cooldown":
-            cooldown_until = clock + config.resolved_cooldown()
+    if config.policy != "continue":
+        # A kept tick hides every later tick within ``gap`` of it.
+        gap = config.resolved_cooldown() if config.policy == "cooldown" else t_len
+        ticks = np.unique(clock)
+        kept = []
+        i = 0
+        while i < ticks.size:
+            kept.append(ticks[i])
+            i = int(np.searchsorted(ticks, ticks[i] + gap, side="right"))
+        keep = np.isin(clock, kept)
+        order, clock = order[keep], clock[keep]
+
+    # Under ``continue`` events can number in the thousands: fill each
+    # instance's attribute dict directly rather than through the frozen
+    # dataclass's per-field ``object.__setattr__`` calls.
+    kinds = list(EVENT_KIND.values())
+    events = []
+    for c, r, w, x, t in zip(
+        clock.tolist(),
+        rank[order].tolist(),
+        window[order].tolist(),
+        stat[order].tolist(),
+        rho[order].tolist(),
+    ):
+        event = object.__new__(DetectionEvent)
+        attrs = event.__dict__
+        attrs["kind"] = kinds[r]
+        attrs["change_at"] = c - w + 1
+        attrs["window"] = w
+        attrs["statistic"] = x
+        attrs["threshold"] = t
+        attrs["detected_at"] = c
+        events.append(event)
     return events

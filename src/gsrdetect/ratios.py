@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .windows import SpanningDecomposition
+from .windows import SlidingStats, SpanningDecomposition
 
 __all__ = [
     "StatKind",
     "GsrTriple",
     "compute_gsr",
+    "sliding_gsr",
     "null_law_mu",
     "null_law_sigma",
     "effective_dof",
@@ -75,6 +76,23 @@ def compute_gsr(decomp: SpanningDecomposition, t: int) -> GsrTriple:
     r_plus = decomp.w_right / decomp.w_left if decomp.w_left > 0.0 else None
     r_minus = decomp.w_left / decomp.w_right if decomp.w_right > 0.0 else None
     return GsrTriple(r_mu=r_mu, r_sigma_plus=r_plus, r_sigma_minus=r_minus, t_index=t)
+
+
+def sliding_gsr(stats: SlidingStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The GSR triple of every window in ``stats``, as arrays in :class:`StatKind` order.
+
+    Degenerate ratios read ``-inf`` so they never reach a threshold; every
+    other value is the same division :func:`compute_gsr` makes, bit for bit.
+    """
+    pairs = (
+        (stats.w_full, stats.w_left + stats.w_right),
+        (stats.w_right, stats.w_left),
+        (stats.w_left, stats.w_right),
+    )
+    return tuple(
+        np.divide(numer, denom, out=np.full(numer.shape, -np.inf), where=denom > 0.0)
+        for numer, denom in pairs
+    )
 
 
 def _check_n_d(n: int, d: float) -> None:

@@ -11,11 +11,16 @@ material for the change-point ratio statistics.
 sum of squared norms) incrementally, so sliding in one observation costs
 O(d) per window instead of the O(n^2 d) a pairwise recomputation would need.
 ``sliding_spanning_stats`` is the vectorised equivalent for a stream that is
-fully in memory.
+fully in memory.  It walks the stream in fixed blocks of window positions and
+re-anchors its prefix sums on each block's first row (the shifted update of
+Chan, Golub & LeVeque), so its temporaries are O(block * d) on top of the O(T)
+outputs, and its rounding error grows with the data's distance from the block
+anchor rather than from the start of the stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +38,18 @@ __all__ = [
 # Bounds floating-point drift of the running sums on long streams.
 _REFRESH_SLIDES_PER_N = 4
 
+# Window positions per block of the batch path.  Each block re-reads the 2n - 1
+# rows it shares with the next and pays a fixed cost in numpy calls, which
+# weighs on long low-dimensional streams; the rounding error grows with the
+# data's spread over a block, which favours short blocks.
+_BLOCK = 2048
+
+_NON_FINITE = "observations contain non-finite values"
+
+
+class _NonFiniteError(ValueError):
+    """A batch of observations holds NaN or infinity."""
+
 
 def _as_observation(y, dim: int | None = None) -> np.ndarray:
     """Validate one observation: a finite 1-D float vector, optionally of known dim."""
@@ -48,8 +65,12 @@ def _as_observation(y, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _as_matrix(observations) -> np.ndarray:
-    """Validate a block of observations as a finite (m, d) float matrix."""
+def _stack_rows(observations) -> np.ndarray:
+    """Coerce a block of observations to an (m, d) float matrix.
+
+    Rows given as a sequence are validated one by one; the finiteness of a
+    2-D array is left to the caller.
+    """
     if isinstance(observations, np.ndarray) and observations.ndim == 2:
         mat = observations.astype(float, copy=False)
     else:
@@ -63,8 +84,14 @@ def _as_matrix(observations) -> np.ndarray:
                     f"dimension mismatch: expected {d}, got {r.shape[0]}"
                 )
         mat = np.vstack(rows)
+    return mat
+
+
+def _as_matrix(observations) -> np.ndarray:
+    """Validate a block of observations as a finite (m, d) float matrix."""
+    mat = _stack_rows(observations)
     if not np.all(np.isfinite(mat)):
-        raise ValueError("observations contain non-finite values")
+        raise ValueError(_NON_FINITE)
     return mat
 
 
@@ -283,9 +310,24 @@ def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
     """Half/full spanning distances for every warm 2n-window of a stream.
 
     Equivalent (to numerical tolerance) to building an ``ObservationWindow``
-    and sliding through the stream, but computed from prefix sums in O(T d).
+    and sliding through the stream, but computed in O(T d) from prefix sums.
+    Window positions are taken in blocks of ``_BLOCK``.  Each block centres
+    the ``_BLOCK + 2n - 1`` rows its windows cover on the first of them; with
+    ``S1``/``S2`` the prefix sums of the centred rows and of their squared
+    norms, the n-row sums ``D = S1[n:] - S1[:-n]`` and
+    ``Q = S2[n:] - S2[:-n]`` give, for the window whose halves are
+    ``L = D[j]`` and ``R = D[j + n]``,
+
+        w_left  = n Q[j] - |L|^2,    w_right = n Q[j + n] - |R|^2,
+        w_full  = 2n (Q[j] + Q[j + n]) - (|L|^2 + |R|^2 + 2 L.R),
+
+    all from plain slices.  Temporaries are O(_BLOCK d) on top of the O(T)
+    outputs, and the rounding error of a window is bounded by the spread of
+    the data between it and its block anchor, at most ``_BLOCK + 2n - 2`` rows
+    away, not by the data's distance from the start of the stream.
+    Non-finite input is caught from each block's sum of squares.
     """
-    y = _as_matrix(stream)
+    y = _stack_rows(stream)
     n = int(half_length)
     if n < 2:
         raise ValueError("window half-length must be at least 2")
@@ -293,21 +335,45 @@ def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
     if t_len < 2 * n:
         raise ValueError(f"stream of length {t_len} never warms a 2x{n} window")
 
-    centered = y - y[0]
-    s1 = np.zeros((t_len + 1, d))
-    np.cumsum(centered, axis=0, out=s1[1:])
-    s2 = np.zeros(t_len + 1)
-    np.cumsum(np.einsum("ij,ij->i", centered, centered), out=s2[1:])
-
-    ends = np.arange(2 * n, t_len + 1)
-
-    def seg(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-        ds = s1[b] - s1[a]
-        dq = s2[b] - s2[a]
-        raw = m * dq - np.einsum("ij,ij->i", ds, ds)
-        return np.maximum(raw, 0.0)
-
-    w_left = seg(ends - 2 * n, ends - n, n)
-    w_right = seg(ends - n, ends, n)
-    w_full = seg(ends - 2 * n, ends, 2 * n)
-    return SlidingStats(clocks=ends, w_left=w_left, w_right=w_right, w_full=w_full)
+    count = t_len - 2 * n + 1
+    # seg[r] = n Q - |D|^2, the spanning distance of the n rows from row r on;
+    # res[i] = |L|^2 + |R|^2 - 2 L.R, the rest of w_full of window i:
+    # w_full = 2 (w_left + w_right) + res.
+    seg, res = np.empty(count + n), np.empty(count)
+    rows = min(count, _BLOCK) + 2 * n - 1
+    # Block buffers, reused: s1/s2 take the centred rows and their squared
+    # norms at offsets 1.., then their prefix sums in place.
+    s1, s2 = np.zeros((rows + 1, d)), np.zeros(rows + 1)
+    sums, sums_sq = np.empty((rows + 1 - n, d)), np.empty(rows + 1 - n)
+    with np.errstate(invalid="ignore"):  # non-finite input raises below
+        for lo in range(0, count, _BLOCK):
+            b = min(_BLOCK, count - lo)
+            m = b + 2 * n - 1
+            block = y[lo : lo + m]
+            centred, sq = s1[1 : m + 1], s2[1 : m + 1]
+            np.subtract(block, block[0], out=centred)
+            np.einsum("ij,ij->i", centred, centred, out=sq)
+            np.cumsum(centred, axis=0, out=centred)
+            np.cumsum(sq, out=sq)
+            # The sum of squares is non-finite if any input is (or overflows).
+            if not math.isfinite(sq[-1]) and not np.all(np.isfinite(block)):
+                raise _NonFiniteError(_NON_FINITE)
+            k = b + n
+            dn, dn_sq, seg_b, res_b = sums[:k], sums_sq[:k], seg[lo : lo + k], res[lo : lo + b]
+            np.subtract(s1[n : m + 1], s1[:k], out=dn)
+            np.subtract(s2[n : m + 1], s2[:k], out=seg_b)
+            np.einsum("ij,ij->i", dn, dn, out=dn_sq)
+            seg_b *= n
+            seg_b -= dn_sq
+            np.einsum("ij,ij->i", dn[:b], dn[n:], out=res_b)
+            res_b *= -2.0
+            res_b += dn_sq[:b]
+            res_b += dn_sq[n:]
+    w_full = np.add(seg[:count], seg[n:])
+    w_full *= 2.0
+    w_full += res
+    # The true distances are nonnegative: clamp cancellation residue to zero.
+    np.maximum(w_full, 0.0, out=w_full)
+    w_left, w_right = np.maximum(seg[:count], 0.0), np.maximum(seg[n:], 0.0)
+    clocks = np.arange(2 * n, t_len + 1)
+    return SlidingStats(clocks=clocks, w_left=w_left, w_right=w_right, w_full=w_full)

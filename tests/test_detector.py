@@ -17,6 +17,7 @@ from gsrdetect.detector import (
 )
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind
+from gsrdetect.windows import _BLOCK
 
 
 class TestAllocateAlphas:
@@ -261,6 +262,72 @@ class TestDetectStreamBatch:
              "VarianceDecrease": StatKind.SIGMA_MINUS}[events[0].kind],
             5,
         )
+
+
+class TestDetectStreamBlocks:
+    """Streams several kernel blocks long, with changes at block boundaries."""
+
+    @staticmethod
+    def _stream(seed=11, d=3):
+        rng = derived_rng(seed)
+        t_len = 3 * _BLOCK + 400
+        y = rng.standard_normal((t_len, d)) + 20.0
+        # mean and variance changes n rows either side of the block edges
+        y[_BLOCK - 6 :] += 1.5
+        y[2 * _BLOCK + 6 :] *= 2.0
+        y[3 * _BLOCK + 200 :] -= 4.0
+        return y
+
+    @pytest.mark.parametrize("policy", ["halt", "cooldown", "continue"])
+    def test_matches_step_by_step(self, policy):
+        config = DetectorConfig(windows=(6, 13), alpha_total=0.05, policy=policy, cooldown=25)
+        y = self._stream()
+        batch = detect_stream(y, config)
+        det = Detector(config, dimension=y.shape[1])
+        stepped = [e for row in y for e in det.step(row)]
+        assert stepped
+        if policy != "halt":
+            assert len({e.detected_at for e in stepped}) > 3
+        _assert_same_events(batch, stepped)
+
+    def test_events_are_plain_detection_events(self):
+        config = DetectorConfig(windows=(6, 13), alpha_total=0.05, policy="continue")
+        events = detect_stream(self._stream(), config)
+        assert events
+        for e in events:
+            rebuilt = DetectionEvent(**e.as_dict())
+            assert type(e) is DetectionEvent
+            assert e == rebuilt and hash(e) == hash(rebuilt) and repr(e) == repr(rebuilt)
+            with pytest.raises(AttributeError):
+                e.window = 0
+
+    def test_constant_stream_never_fires(self):
+        config = DetectorConfig(windows=(4, 9), alpha_total=0.5, policy="continue")
+        assert detect_stream(np.full((2 * _BLOCK + 50, 2), 7.25), config) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rejects_non_finite_in_any_block(self, bad, where):
+        config = DetectorConfig(windows=(5, 8))
+        y = derived_rng(12).standard_normal((3 * _BLOCK, 2))
+        row = {"first": 0, "middle": y.shape[0] // 2, "last": y.shape[0] - 1}[where]
+        y[row, 0] = bad
+        with pytest.raises(ValueError, match="^stream contains non-finite values$"):
+            detect_stream(y, config)
+
+    def test_rejects_non_finite_in_stream_too_short_to_scan(self):
+        config = DetectorConfig(windows=(5,))
+        y = np.zeros((6, 2))
+        y[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^stream contains non-finite values$"):
+            detect_stream(y, config)
+
+    def test_non_finite_reported_before_table_mismatch(self):
+        table = analytic_table((5,), 3, allocate_alphas(0.06, (5,)))
+        y = np.zeros((40, 2))
+        y[-1, 0] = np.inf
+        with pytest.raises(ValueError, match="^stream contains non-finite values$"):
+            detect_stream(y, DetectorConfig(windows=(5,)), table)
 
 
 class TestEventSerialization:

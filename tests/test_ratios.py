@@ -12,8 +12,14 @@ from gsrdetect.ratios import (
     effective_dof,
     null_law_mu,
     null_law_sigma,
+    sliding_gsr,
 )
-from gsrdetect.windows import ObservationWindow
+from gsrdetect.windows import (
+    ObservationWindow,
+    SlidingStats,
+    SpanningDecomposition,
+    sliding_spanning_stats,
+)
 
 from oracles import naive_decomposition
 
@@ -171,3 +177,33 @@ def test_ratio_triple_matches_enumeration_oracle():
     assert triple.r_sigma_plus == pytest.approx(
         expected["w_right"] / expected["w_left"], rel=1e-9
     )
+
+
+def test_sliding_gsr_equals_compute_gsr_bit_for_bit():
+    rng = derived_rng(18)
+    y = rng.normal(size=(60, 3))
+    y[20:30] = 1.5  # constant stretch: degenerate ratios in some windows
+    stats = sliding_spanning_stats(y, 4)
+    ratios = sliding_gsr(stats)
+    assert [r.shape for r in ratios] == [stats.clocks.shape] * 3
+    degenerate = 0
+    for i, t in enumerate(stats.clocks):
+        w_l, w_r, w_f = float(stats.w_left[i]), float(stats.w_right[i]), float(stats.w_full[i])
+        triple = compute_gsr(SpanningDecomposition(w_f, w_l, w_r, 0.0, 0.0), int(t))
+        for kind, r in zip(StatKind, ratios):
+            expected = triple.value_of(kind)
+            if expected is None:
+                degenerate += 1
+                assert r[i] == -np.inf
+            else:
+                assert r[i] == expected  # same division, no tolerance
+    assert degenerate > 0
+
+
+def test_sliding_gsr_all_degenerate_is_minus_inf_without_warnings():
+    zeros = np.zeros(4)
+    stats = SlidingStats(clocks=np.arange(4), w_left=zeros, w_right=zeros, w_full=zeros)
+    with np.errstate(all="raise"):
+        ratios = sliding_gsr(stats)
+    for r in ratios:
+        assert np.all(r == -np.inf)

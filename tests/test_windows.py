@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from gsrdetect.windows import (
+    _BLOCK,
     ObservationWindow,
     sliding_spanning_stats,
     spanning_distance,
 )
 
-from oracles import naive_decomposition, pairwise_spanning
+from oracles import naive_decomposition, pairwise_spanning, pairwise_spanning_fast
 
 
 def test_spanning_distance_three_points():
@@ -189,3 +190,71 @@ def test_sliding_spanning_stats_matches_window_path():
 def test_sliding_spanning_stats_rejects_short_streams():
     with pytest.raises(ValueError, match="never warms"):
         sliding_spanning_stats(np.zeros((5, 2)), 3)
+
+
+def _assert_matches_pairwise(stream, stats, starts, n, rel=1e-9):
+    """Batch statistics of the windows starting at ``starts`` against enumeration."""
+    for i in starts:
+        window = stream[i : i + 2 * n]
+        assert stats.clocks[i] == i + 2 * n
+        assert stats.w_left[i] == pytest.approx(pairwise_spanning_fast(window[:n]), rel=rel)
+        assert stats.w_right[i] == pytest.approx(pairwise_spanning_fast(window[n:]), rel=rel)
+        assert stats.w_full[i] == pytest.approx(pairwise_spanning_fast(window), rel=rel)
+
+
+def _boundary_starts(count, n):
+    """Window starts within 2n of a block boundary, where windows straddle anchors."""
+    starts = set()
+    for edge in range(_BLOCK, count, _BLOCK):
+        starts.update(range(max(edge - 2 * n, 0), min(edge + 2 * n + 1, count)))
+    starts.update(range(max(count - 2 * n, 0), count))  # the last, partial block
+    return sorted(starts)
+
+
+@pytest.mark.parametrize(
+    "n, blocks, extra",
+    [
+        (2, 3, _BLOCK // 2),  # a partial last block
+        (7, 3, _BLOCK // 2),
+        (40, 3, _BLOCK // 2),
+        (5, 1, 1),  # one window over a whole block
+        (5, 1, 0),  # exactly one block
+        (5, 2, -1),  # one window short of two blocks
+    ],
+)
+def test_sliding_spanning_stats_block_boundaries_match_enumeration(n, blocks, extra):
+    rng = np.random.default_rng(20 + n + blocks + extra)
+    count = blocks * _BLOCK + extra
+    t_len = count + 2 * n - 1
+    stream = rng.normal(size=(t_len, 3)) * 2.0 + rng.normal(size=3) * 50.0
+    stats = sliding_spanning_stats(stream, n)
+    assert stats.w_full.shape == (count,) and stats.clocks[-1] == t_len
+    _assert_matches_pairwise(stream, stats, _boundary_starts(count, n), n)
+
+
+def test_sliding_spanning_stats_constant_stream_is_exactly_zero():
+    stream = np.full((2 * _BLOCK + 300, 4), 1.0 / 3.0)
+    stats = sliding_spanning_stats(stream, 6)
+    for w in (stats.w_left, stats.w_right, stats.w_full):
+        assert not np.any(w)
+
+
+def test_sliding_spanning_stats_accurate_under_level_drift():
+    # a 100-sigma linear drift: anchoring once at y[0] loses 5e-9 here
+    rng = np.random.default_rng(30)
+    n, d, t_len = 5, 8, 8192
+    assert t_len >= 4 * _BLOCK
+    stream = rng.standard_normal((t_len, d)) + np.linspace(0.0, 100.0, t_len)[:, None]
+    stats = sliding_spanning_stats(stream, n)
+    _assert_matches_pairwise(stream, stats, range(0, t_len - 2 * n + 1), n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_sliding_spanning_stats_rejects_non_finite_in_any_block(bad, where):
+    n, t_len = 4, 3 * _BLOCK
+    stream = np.random.default_rng(31).normal(size=(t_len, 3))
+    row = {"first": 0, "middle": t_len // 2, "last": t_len - 1}[where]
+    stream[row, 1] = bad
+    with pytest.raises(ValueError, match="^observations contain non-finite values$"):
+        sliding_spanning_stats(stream, n)
