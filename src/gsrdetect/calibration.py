@@ -198,18 +198,22 @@ class ThresholdTable:
         version = doc.get("version")
         if version != TABLE_FORMAT_VERSION:
             raise ValueError(f"unsupported threshold-table version: {version!r}")
-        entries = tuple(
-            ThresholdEntry(
-                kind=StatKind(e["kind"]),
-                n=int(e["n"]),
-                alpha=float(e["alpha"]),
-                rho=float(e["rho"]),
-                provenance=str(e["provenance"]),
+        try:
+            entries = tuple(
+                ThresholdEntry(
+                    kind=StatKind(e["kind"]),
+                    n=int(e["n"]),
+                    alpha=float(e["alpha"]),
+                    rho=float(e["rho"]),
+                    provenance=str(e["provenance"]),
+                )
+                for e in doc["entries"]
             )
-            for e in doc["entries"]
-        )
+            dimension = int(doc["dimension"])
+        except KeyError as exc:
+            raise ValueError(f"threshold table lacks the field {exc.args[0]!r}") from None
         return cls(
-            dimension=int(doc["dimension"]),
+            dimension=dimension,
             entries=entries,
             seed=doc.get("seed"),
             replications=doc.get("K"),

@@ -24,6 +24,7 @@ from .calibration import (
 )
 from .detector import DetectorConfig, allocate_alphas, detect_stream, events_to_jsonl
 from .power import PowerQuery, delta_mu, delta_sigma, empirical_power, minimum_radius
+from .ratios import StatKind
 from .simulate import run_online_power, run_static_power, static_power_grid
 
 __all__ = ["main", "read_stream_csv", "write_stream_csv", "log_returns"]
@@ -215,9 +216,10 @@ def _cmd_detect(args) -> int:
                 f"input has dimension {dimension}"
             )
         windows = args.windows if args.windows else table.window_lengths
-        missing = [n for n in windows if n not in table.window_lengths]
+        present = {(e.kind, e.n) for e in table.entries}
+        missing = [f"({k}, n={n})" for n in windows for k in StatKind if (k, n) not in present]
         if missing:
-            raise IncompatibilityError(f"threshold table lacks windows {missing}")
+            raise IncompatibilityError(f"threshold table lacks {', '.join(missing)}")
     else:
         table = None
         if not args.windows:

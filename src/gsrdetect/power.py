@@ -7,6 +7,9 @@ threshold for the one-sided variance tests.  ``minimum_radius`` is the
 complementary lower bound: below a separation of theta(alpha, beta) *
 sqrt(n d) * sigma^2 no level-alpha test can reach power 1 - beta.
 
+``empirical_power`` and the static study in :mod:`gsrdetect.simulate` test
+their windows with the batch kernel and ratio path of ``detect_stream``.
+
 Separations are expressed as noncentralities of the scaled chi-square laws of
 the spanning distances.  For a pure mean shift of delta aligned with the
 window midpoint the residual noncentrality is n * ||delta||^2 / (2 sigma^2)
@@ -23,6 +26,8 @@ import numpy as np
 
 from .calibration import analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
+from .ratios import sliding_gsr
+from .windows import SlidingStats, sliding_spanning_stats
 
 __all__ = [
     "PowerQuery",
@@ -33,6 +38,8 @@ __all__ = [
     "shift_for_residual",
     "empirical_power",
 ]
+
+_STATIC_BATCH = 512  # windows per kernel call in the static studies; bounds memory
 
 
 @dataclass(frozen=True)
@@ -171,28 +178,23 @@ def empirical_power(
     rng = derived_rng(seed, 0x90E6)
 
     hits = 0
-    block = 512
     done = 0
     while done < replications:
-        b = min(block, replications - done)
+        b = min(_STATIC_BATCH, replications - done)
         y = sigma * rng.standard_normal((b, 2 * n, d))
         y[:, n:, :] += delta
-        left, right = y[:, :n, :], y[:, n:, :]
-        w_l = _block_spanning(left)
-        w_r = _block_spanning(right)
-        w_f = _block_spanning(y)
-        halves = w_l + w_r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_mu = np.where(halves > 0.0, w_f / halves, -np.inf)
+        r_mu = _static_gsr(y)[0]
         hits += int(np.count_nonzero(r_mu >= rho))
         done += b
     return hits / replications
 
 
-def _block_spanning(y: np.ndarray) -> np.ndarray:
-    """Spanning distance of each (m, d) block in a (B, m, d) batch."""
-    m = y.shape[1]
-    ssum = y.sum(axis=1)
-    ssq = np.einsum("bij,bij->b", y, y)
-    raw = m * ssq - np.einsum("bj,bj->b", ssum, ssum)
-    return np.maximum(raw, 0.0)
+def _static_gsr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GSR triple of each window in a (B, 2n, d) batch of independent windows.
+
+    The windows are stacked into one (B * 2n, d) stream for the batch kernel;
+    every 2n-th warm position of that stream is one of the windows.
+    """
+    b, m, d = samples.shape
+    stats = sliding_spanning_stats(samples.reshape(b * m, d), m // 2)
+    return sliding_gsr(SlidingStats(*(a[::m] for a in stats)))

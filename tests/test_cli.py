@@ -258,6 +258,28 @@ class TestDetectCommand:
         )
         assert code == EXIT_INCOMPATIBLE
 
+    def test_table_missing_family_exits_4(self, tmp_path, calibrated_table, capsys):
+        doc = json.loads(calibrated_table.read_text())
+        doc["entries"] = [
+            e for e in doc["entries"] if (e["kind"], e["n"]) != ("sigma+", 5)
+        ]
+        table = tmp_path / "partial.json"
+        _write(table, json.dumps(doc))
+        code = main(["detect", "--input", str(self._stream_csv(tmp_path)),
+                     "--thresholds", str(table)])
+        assert code == EXIT_INCOMPATIBLE
+        assert "(sigma+, n=5)" in capsys.readouterr().err
+
+    def test_table_missing_field_exits_2(self, tmp_path, calibrated_table, capsys):
+        doc = json.loads(calibrated_table.read_text())
+        del doc["dimension"]
+        table = tmp_path / "nodim.json"
+        _write(table, json.dumps(doc))
+        code = main(["detect", "--input", str(self._stream_csv(tmp_path)),
+                     "--thresholds", str(table)])
+        assert code == EXIT_USAGE
+        assert "'dimension'" in capsys.readouterr().err
+
     def test_dimension_mismatch_exits_4(self, tmp_path, calibrated_table):
         stream = self._stream_csv(tmp_path, d=3)
         code = main(

@@ -195,13 +195,26 @@ def _assert_same_events(got, expected, rel=1e-9):
         assert e2.statistic == pytest.approx(e1.statistic, rel=rel)
 
 
+def _batch_stream():
+    rng = derived_rng(6)
+    y = rng.standard_normal((200, 3))
+    y[100:] += 1.5
+    return y
+
+
 class TestDetectStreamBatch:
-    @pytest.mark.parametrize("policy", ["halt", "cooldown", "continue"])
-    def test_matches_step_by_step(self, policy):
-        config = DetectorConfig(windows=(5, 8), alpha_total=0.2, policy=policy, cooldown=11)
-        rng = derived_rng(6)
-        y = rng.standard_normal((200, 3))
-        y[100:] += 1.5
+    @pytest.mark.parametrize(
+        "policy, cooldown",
+        [
+            pytest.param("halt", 11, id="halt"),
+            pytest.param("cooldown", 11, id="cooldown"),
+            pytest.param("continue", 11, id="continue"),
+            pytest.param("cooldown", 1, id="cooldown-1"),
+        ],
+    )
+    def test_matches_step_by_step(self, policy, cooldown):
+        config = DetectorConfig(windows=(5, 8), alpha_total=0.2, policy=policy, cooldown=cooldown)
+        y = _batch_stream()
         batch = detect_stream(y, config)
         det = Detector(config, dimension=3)
         stepped = []
@@ -209,6 +222,27 @@ class TestDetectStreamBatch:
             stepped.extend(det.step(row))
         assert batch and stepped
         _assert_same_events(batch, stepped)
+        assert det.halted == (policy == "halt")
+
+    @pytest.mark.parametrize("past_edge", [False, True], ids=["at-edge", "past-edge"])
+    def test_second_exceedance_at_quiet_period_edge(self, past_edge):
+        # The cooldown puts the stream's second exceedance exactly on the last
+        # reported tick + cooldown (still quiet) or one tick past it.
+        y = _batch_stream()
+        every = DetectorConfig(windows=(5, 8), alpha_total=0.2, policy="continue")
+        first, second = sorted({e.detected_at for e in detect_stream(y, every)})[:2]
+        config = DetectorConfig(
+            windows=(5, 8), alpha_total=0.2, policy="cooldown",
+            cooldown=second - first - past_edge,
+        )
+        batch = detect_stream(y, config)
+        det = Detector(config, dimension=3)
+        stepped = [e for row in y for e in det.step(row)]
+        _assert_same_events(batch, stepped)
+        ticks = [e.detected_at for e in stepped]
+        assert ticks[0] == first
+        assert (second in ticks) == past_edge
+        assert not det.halted
 
     def test_pivotality_event_lists_identical_under_affine_map(self):
         config = DetectorConfig(windows=(6, 9), alpha_total=0.1, policy="continue")

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import naive_decomposition
 
-from gsrdetect.distributions import FisherParams, fisher_upper_quantile
+from gsrdetect.calibration import analytic_threshold_mu
+from gsrdetect.distributions import FisherParams, derived_rng, fisher_upper_quantile
 from gsrdetect.power import (
     PowerQuery,
     delta_mu,
@@ -164,3 +166,21 @@ class TestEmpiricalPower:
     def test_rejects_tiny_replication_count(self):
         with pytest.raises(ValueError):
             empirical_power(10, 2, 0.05, 1.0, replications=50)
+
+    @pytest.mark.parametrize(
+        "n, d, shift, reps",
+        [(3, 1, 2.2, 120), (3, 4, 1.2, 120), (10, 1, 1.0, 120), (10, 4, 0.6, 600)],
+    )
+    def test_rate_matches_pairwise_oracle(self, n, d, shift, reps):
+        alpha, seed = 0.05, 14
+        rho = analytic_threshold_mu(n, d, alpha)
+        # One draw of every replication equals the function's batched draws.
+        y = derived_rng(seed, 0x90E6).standard_normal((reps, 2 * n, d))
+        y[:, n:] += shift
+        hits = 0
+        for window in y:
+            w = naive_decomposition(window)
+            halves = w["w_left"] + w["w_right"]
+            hits += halves > 0 and w["w_full"] / halves >= rho
+        assert 0 < hits < reps  # both outcomes occur
+        assert empirical_power(n, d, alpha, shift, replications=reps, seed=seed) == hits / reps

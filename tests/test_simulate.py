@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import naive_decomposition
 
-from gsrdetect.detector import DetectionEvent
+from gsrdetect.calibration import analytic_table
+from gsrdetect.detector import DetectionEvent, allocate_alphas
 from gsrdetect.distributions import derived_rng
+from gsrdetect.ratios import StatKind
 from gsrdetect.simulate import (
     PowerReport,
     Scenario,
@@ -114,6 +117,43 @@ class TestStaticStudy:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError):
             run_static_power(3, 10, "mean", samples=50)
+
+    @pytest.mark.parametrize(
+        "d, n, change, shift, scale, samples",
+        [
+            (1, 3, "mean", 2.2, 1.0, 120),
+            (4, 3, "variance", 0.0, 6.0, 120),
+            (1, 10, "variance", 0.0, 3.0, 120),
+            (4, 10, "mean", 0.6, 1.0, 600),  # more than one kernel batch
+        ],
+    )
+    def test_counts_match_pairwise_oracle(self, d, n, change, shift, scale, samples):
+        alpha, seed = 0.05, 13
+        table = analytic_table([n], d, allocate_alphas(alpha, [n]))
+        rho = [table.threshold(kind, n) for kind in StatKind]
+        counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for i in range(samples):
+            rng = derived_rng(seed, i)
+            with_change = bool(rng.random() < 0.5)
+            y = rng.standard_normal((2 * n, d))
+            if with_change:
+                y[n:] = y[n:] * math.sqrt(scale) + shift
+            w = naive_decomposition(y)
+            ratios = [
+                (w["w_full"], w["w_left"] + w["w_right"]),
+                (w["w_right"], w["w_left"]),
+                (w["w_left"], w["w_right"]),
+            ]
+            hit = any(den > 0 and num / den >= r for (num, den), r in zip(ratios, rho))
+            counts[("tp" if hit else "fn") if with_change else ("fp" if hit else "tn")] += 1
+        assert counts["tp"] and counts["fn"]  # both outcomes occur
+        report = run_static_power(
+            d, n, change, samples=samples, alpha=alpha, seed=seed,
+            mean_shift=shift, variance_scale=scale,
+        )
+        assert (report.tp, report.fp, report.tn, report.fn) == (
+            counts["tp"], counts["fp"], counts["tn"], counts["fn"]
+        )
 
 
 @pytest.fixture(scope="module")

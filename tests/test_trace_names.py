@@ -1,0 +1,36 @@
+"""The benchmark's traced callables exist in the package.
+
+``perfbench/tracing.py`` names each callable it wraps by an attribute path in
+a package module.  A refactor that renames or drops one of them would
+otherwise only fail when the benchmark runs with ``--trace 1``.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_path_resolves():
+    tracing = _load_tracing()
+    unresolved = []
+    for layer, paths in tracing.TRACED.items():
+        module = importlib.import_module(f"{tracing.PACKAGE}.{layer}")
+        for path in paths:
+            owner_name, _, attr = path.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            # The tracer replaces a method in its own class's namespace.
+            target = vars(owner).get(attr) if owner is not None else None
+            if not callable(getattr(target, "__func__", target)):
+                unresolved.append(f"{layer}.{path}")
+    assert not unresolved, f"traced callables missing from the package: {unresolved}"
