@@ -195,6 +195,8 @@ class ThresholdTable:
     @classmethod
     def from_json(cls, text: str) -> "ThresholdTable":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("threshold table must be a JSON object")
         version = doc.get("version")
         if version != TABLE_FORMAT_VERSION:
             raise ValueError(f"unsupported threshold-table version: {version!r}")
@@ -212,6 +214,8 @@ class ThresholdTable:
             dimension = int(doc["dimension"])
         except KeyError as exc:
             raise ValueError(f"threshold table lacks the field {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"threshold table has a field of the wrong type: {exc}") from None
         return cls(
             dimension=dimension,
             entries=entries,

@@ -334,13 +334,11 @@ def detect_stream(
 ) -> list[DetectionEvent]:
     """Run the detector over a whole in-memory stream.
 
-    Vectorised over time, with the same policy as feeding the stream through
-    :meth:`Detector.step`.  The two paths compute the statistics with
-    different arithmetic (prefix sums here, running sums there), so the
-    statistics agree to rounding, and a statistic within rounding of its
-    threshold can fire on one path only.  Every exceedance is gathered as
-    arrays, ordered by (tick, family, window) with one sort, and events are
-    built only for the ticks the policy keeps.
+    Vectorised over time, with the same policy and the same arithmetic as
+    feeding the stream through :meth:`Detector.step`, so both paths report
+    the same events, bit for bit.  Every exceedance is gathered as arrays,
+    ordered by (tick, family, window) with one sort, and events are built
+    only for the ticks the policy keeps.
     """
     y = np.asarray(stream, dtype=float)
     if y.ndim != 2:

@@ -7,15 +7,14 @@ observations each; the decomposition of the full-window distance into the two
 half distances, the cross ("between") distance and a residual term is the raw
 material for the change-point ratio statistics.
 
-``ObservationWindow`` maintains the per-half sufficient statistics (sum and
-sum of squared norms) incrementally, so sliding in one observation costs
-O(d) per window instead of the O(n^2 d) a pairwise recomputation would need.
-``sliding_spanning_stats`` is the vectorised equivalent for a stream that is
-fully in memory.  It walks the stream in fixed blocks of window positions and
-re-anchors its prefix sums on each block's first row (the shifted update of
-Chan, Golub & LeVeque), so its temporaries are O(block * d) on top of the O(T)
-outputs, and its rounding error grows with the data's distance from the block
-anchor rather than from the start of the stream.
+Both paths share one arithmetic and one anchor schedule: prefix sums of the
+observations centred on the first row of each block of ``_BLOCK`` window
+positions (the shifted update of Chan, Golub & LeVeque).
+``sliding_spanning_stats`` walks an in-memory stream block by block;
+``ObservationWindow`` slides one observation in at O(d) cost, not the O(n^2 d)
+of a pairwise recomputation, and its distances equal the batch path's bit for
+bit.  The rounding error grows with the data's spread between a window and
+its block anchor, not with its distance from the start of the stream.
 """
 
 from __future__ import annotations
@@ -34,14 +33,10 @@ __all__ = [
     "sliding_spanning_stats",
 ]
 
-# From-scratch refresh cadence, in slides, per window of half-length n.
-# Bounds floating-point drift of the running sums on long streams.
-_REFRESH_SLIDES_PER_N = 4
-
-# Window positions per block of the batch path.  Each block re-reads the 2n - 1
-# rows it shares with the next and pays a fixed cost in numpy calls, which
-# weighs on long low-dimensional streams; the rounding error grows with the
-# data's spread over a block, which favours short blocks.
+# Window positions per anchor block, on both paths.  Each batch block re-reads
+# the 2n - 1 rows it shares with the next and pays a fixed cost in numpy calls,
+# which weighs on long low-dimensional streams; the rounding error grows with
+# the data's spread over a block, which favours short blocks.
 _BLOCK = 2048
 
 _NON_FINITE = "observations contain non-finite values"
@@ -95,17 +90,6 @@ def _as_matrix(observations) -> np.ndarray:
     return mat
 
 
-def _segment_distance(m: int, ssum: np.ndarray, ssq: float) -> float:
-    """Spanning distance of m observations from their sum and sum of squared norms.
-
-    Uses the identity sum_{i<j} ||Y_i - Y_j||^2 = m * sum ||Y_i||^2 - ||sum Y_i||^2,
-    which is exact in real arithmetic.  The true value is nonnegative, so tiny
-    negative residue from cancellation is clamped to zero.
-    """
-    raw = m * ssq - float(ssum @ ssum)
-    return raw if raw > 0.0 else 0.0
-
-
 def spanning_distance(observations) -> float:
     """Sum of squared Euclidean distances over all unordered observation pairs.
 
@@ -124,11 +108,13 @@ def spanning_distance(observations) -> float:
     if m < 2:
         raise ValueError("spanning distance needs at least 2 observations")
     # Anchor on the first observation: shift invariant in exact arithmetic and
-    # exactly zero for blocks of identical points.
+    # exactly zero for blocks of identical points.  m sum |Y_i|^2 - |sum Y_i|^2
+    # is the pairwise sum; negative cancellation residue is clamped to zero.
     centered = mat - mat[0]
     ssq = float(np.einsum("ij,ij->", centered, centered))
     ssum = centered.sum(axis=0)
-    return _segment_distance(m, ssum, ssq)
+    raw = m * ssq - float(ssum @ ssum)
+    return raw if raw > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -149,7 +135,7 @@ class SpanningDecomposition:
 
 
 class ObservationWindow:
-    """Ring buffer of the last 2n observations with incremental half statistics.
+    """Ring buffer of the last 2n observations with anchored prefix sums.
 
     The left half holds the n oldest buffered observations, the right half the
     n newest.  Observations are fed one at a time with :meth:`slide`; the
@@ -158,9 +144,10 @@ class ObservationWindow:
     to the left, and appends the incoming one.
 
     A window is a single-owner value: slides mutate it in place and return it
-    for convenience.  All statistics are maintained relative to an anchor
-    observation so that constant streams yield exactly zero distances and
-    affine re-scalings of the data leave the ratio statistics unchanged.
+    for convenience.  It re-anchors on its oldest row whenever the window start
+    is a multiple of ``_BLOCK``, counted from its first observation, as
+    ``sliding_spanning_stats`` does, so constant streams yield exactly zero
+    distances and :meth:`decompose` equals the batch path bit for bit.
     """
 
     def __init__(self, half_length: int, dim: int):
@@ -170,15 +157,16 @@ class ObservationWindow:
             raise ValueError("dimension must be at least 1")
         self._n = int(half_length)
         self._d = int(dim)
+        # Observation k (1-based) sits in slot (k - 1) % 2n.
         self._buf = np.zeros((2 * self._n, self._d))
-        self._head = 0  # index of the oldest observation once warm
         self._count = 0
-        self._anchor = np.zeros(self._d)
-        self._sum_left = np.zeros(self._d)
-        self._sum_right = np.zeros(self._d)
-        self._sumsq_left = 0.0
-        self._sumsq_right = 0.0
-        self._slides_since_refresh = 0
+        # Set at warm-up by _reanchor: the anchor row, L.R of the current window
+        # and rings of n + 1 slots.  Slot p % (n + 1) of _pre/_pre_sq holds S1/S2
+        # after the p-th observation; slot q % (n + 1) of _half/_half_sq/_seg
+        # holds D, |D|^2 and n Q - |D|^2 of the n observations after the q-th.
+        self._anchor = self._cross = self._pre = self._pre_sq = None
+        self._half = self._half_sq = self._seg = None
+        self._rows = np.zeros((3, self._d))  # reused rows: c, the new D and L
 
     @classmethod
     def from_observations(cls, observations, half_length: int | None = None) -> "ObservationWindow":
@@ -217,14 +205,12 @@ class ObservationWindow:
     def left_half(self) -> np.ndarray:
         """Copy of the n oldest observations, oldest first (warm windows only)."""
         self._require_warm()
-        idx = [(self._head + i) % (2 * self._n) for i in range(self._n)]
-        return self._buf[idx].copy()
+        return np.roll(self._buf, -self._count, axis=0)[: self._n]
 
     def right_half(self) -> np.ndarray:
         """Copy of the n newest observations, oldest first (warm windows only)."""
         self._require_warm()
-        idx = [(self._head + self._n + i) % (2 * self._n) for i in range(self._n)]
-        return self._buf[idx].copy()
+        return np.roll(self._buf, -self._count, axis=0)[self._n :]
 
     def _require_warm(self) -> None:
         if not self.is_warm:
@@ -232,62 +218,75 @@ class ObservationWindow:
                 f"window not warm: has {self.count} of {2 * self._n} observations"
             )
 
-    def _recompute(self) -> None:
-        """Rebuild anchor and running statistics from the buffer."""
-        order = [(self._head + i) % (2 * self._n) for i in range(2 * self._n)]
-        data = self._buf[order]
-        self._anchor = data[0].copy()
-        centered = data - self._anchor
-        left, right = centered[: self._n], centered[self._n :]
-        self._sum_left = left.sum(axis=0)
-        self._sum_right = right.sum(axis=0)
-        self._sumsq_left = float(np.einsum("ij,ij->", left, left))
-        self._sumsq_right = float(np.einsum("ij,ij->", right, right))
-        self._slides_since_refresh = 0
+    def _reanchor(self) -> None:
+        """Rebuild the rings on the oldest buffered row, as the batch path anchors a block."""
+        n = self._n
+        rows = np.roll(self._buf, -self._count, axis=0)
+        s1, s2, half, half_sq, seg, cross = _anchored_block(
+            rows, n, np.zeros((2 * n + 1, self._d)), np.zeros((n + 2, self._d))
+        )
+        start = self._count - 2 * n
+        self._anchor, self._cross = rows[0], float(cross[0])
+        self._pre = np.roll(s1[n:], start + n, axis=0)
+        self._pre_sq = np.roll(s2[n:], start + n).tolist()
+        self._half = np.roll(half, start, axis=0)
+        self._half_sq = np.roll(half_sq, start).tolist()
+        self._seg = np.roll(seg, start).tolist()
 
     def slide(self, incoming) -> "ObservationWindow":
         """Feed one observation; fills the window during warm-up, slides after.
 
         Returns the (mutated) window itself.
         """
-        y = _as_observation(incoming, self._d)
-        cap = 2 * self._n
-        if self._count < cap:
-            self._buf[self._count] = y
+        n = self._n
+        if self._count < 2 * n:
+            self._buf[self._count] = _as_observation(incoming, self._d)
             self._count += 1
-            if self._count == cap:
-                self._recompute()
+            if self._count == 2 * n:
+                self._reanchor()
             return self
 
-        old = self._buf[self._head]
-        boundary = self._buf[(self._head + self._n) % cap]
-        y_old = old - self._anchor
-        y_bnd = boundary - self._anchor
-        y_new = y - self._anchor
-        self._sum_left += y_bnd - y_old
-        self._sumsq_left += float(y_bnd @ y_bnd) - float(y_old @ y_old)
-        self._sum_right += y_new - y_bnd
-        self._sumsq_right += float(y_new @ y_new) - float(y_bnd @ y_bnd)
-        self._buf[self._head] = y
-        self._head = (self._head + 1) % cap
-        self._count += 1
-        self._slides_since_refresh += 1
-        if self._slides_since_refresh >= _REFRESH_SLIDES_PER_N * self._n:
-            self._recompute()
+        y = np.asarray(incoming, dtype=float)
+        if y.shape != self._anchor.shape:
+            y = _as_observation(y, self._d)
+        # The newest prefix position p, the newest half-window p - n (the new
+        # window's right half) and the new window's left half, in the batch
+        # path's order: S1[p] = S1[p - 1] + c, D = S1[p] - S1[p - n].  S1[p]
+        # overwrites S1[p - n - 1], which no later slide reads.
+        ring, p, rows, pre, pre_sq = n + 1, self._count + 1, self._rows, self._pre, self._pre_sq
+        new, back = p % ring, (p - n) % ring
+        np.subtract(y, self._anchor, out=rows[0])
+        np.add(pre[(p - 1) % ring], rows[0], out=pre[new])
+        np.subtract(pre[new], pre[back], out=rows[1])
+        rows[2] = self._half[(p - 2 * n) % ring]
+        # |c|^2, |D|^2 and L.R in one einsum over several rows, as the batch
+        # path reduces them (einsum splits a lone long row differently).
+        sq, half_sq, cross = np.einsum("ij,ij->i", rows, rows[[0, 1, 1]]).tolist()
+        # The squared norm is non-finite if the observation is (or overflows).
+        if not math.isfinite(sq) and not np.all(np.isfinite(y)):
+            raise ValueError("observation contains non-finite values")
+        pre_sq[new] = pre_sq[(p - 1) % ring] + sq
+        self._half[back] = rows[1]
+        self._half_sq[back] = half_sq
+        self._seg[back] = (pre_sq[new] - pre_sq[back]) * n - half_sq
+        self._cross = cross
+        self._buf[self._count % (2 * n)] = y
+        self._count = p
+        if (p - 2 * n) % _BLOCK == 0:
+            self._reanchor()
         return self
 
     def decompose(self) -> SpanningDecomposition:
         """Spanning decomposition of the current warm window."""
         self._require_warm()
         n = self._n
-        w_left = _segment_distance(n, self._sum_left, self._sumsq_left)
-        w_right = _segment_distance(n, self._sum_right, self._sumsq_right)
-        w_full = _segment_distance(
-            2 * n, self._sum_left + self._sum_right, self._sumsq_left + self._sumsq_right
-        )
-        w_btw = w_full - w_left - w_right
-        if w_btw < 0.0:
-            w_btw = 0.0
+        left, right = (self._count - 2 * n) % (n + 1), (self._count - n) % (n + 1)
+        half_sq, seg_left, seg_right = self._half_sq, self._seg[left], self._seg[right]
+        # The batch path's order: (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right),
+        # then negative cancellation residue is clamped to zero.
+        w_full = self._cross * -2.0 + half_sq[left] + half_sq[right] + 2.0 * (seg_left + seg_right)
+        w_full, w_left, w_right = max(w_full, 0.0), max(seg_left, 0.0), max(seg_right, 0.0)
+        w_btw = max(w_full - w_left - w_right, 0.0)
         w_rem = w_full - 2.0 * (w_left + w_right)
         return SpanningDecomposition(w_full, w_left, w_right, w_rem, w_btw)
 
@@ -306,26 +305,50 @@ class SlidingStats(NamedTuple):
     w_full: np.ndarray
 
 
+def _anchored_block(block: np.ndarray, n: int, s1: np.ndarray, sums: np.ndarray):
+    """Prefix sums and half-window sums of a block of m rows centred on its first row.
+
+    Returns ``S1``/``S2``, the prefix sums of the centred rows and of their
+    squared norms from a zero row on; for each half-window r of n rows,
+    ``D[r] = S1[r + n] - S1[r]``, ``|D[r]|^2`` and its spanning distance before
+    clamping, ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``; and ``D[r].D[r + n]``
+    for each window.  The buffers ``s1`` and ``sums`` hold m + 1 and m + 2 - n
+    rows, ``s1[0]`` zero and ``sums[m + 1 - n]`` finite: every einsum reduces
+    two rows or more (it splits a lone row longer than its buffer differently),
+    so a block of one window takes a spare row along.  Non-finite input is
+    caught from the block's sum of squares.
+    """
+    m = block.shape[0]
+    k = m + 1 - n
+    centred, s2 = s1[1 : m + 1], np.zeros(m + 1)
+    np.subtract(block, block[0], out=centred)
+    np.einsum("ij,ij->i", centred, centred, out=s2[1:])
+    np.cumsum(centred, axis=0, out=centred)
+    np.cumsum(s2[1:], out=s2[1:])
+    # The sum of squares is non-finite if any input is (or overflows).
+    if not math.isfinite(s2[-1]) and not np.all(np.isfinite(block)):
+        raise _NonFiniteError(_NON_FINITE)
+    dn = np.subtract(s1[n : m + 1], s1[:k], out=sums[:k])
+    dn_sq = np.einsum("ij,ij->i", dn, dn)
+    pairs = max(k - n, 2)
+    cross = np.einsum("ij,ij->i", sums[:pairs], sums[n : n + pairs])[: k - n]
+    return s1[: m + 1], s2, dn, dn_sq, (s2[n:] - s2[:k]) * n - dn_sq, cross
+
+
 def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
     """Half/full spanning distances for every warm 2n-window of a stream.
 
-    Equivalent (to numerical tolerance) to building an ``ObservationWindow``
-    and sliding through the stream, but computed in O(T d) from prefix sums.
-    Window positions are taken in blocks of ``_BLOCK``.  Each block centres
-    the ``_BLOCK + 2n - 1`` rows its windows cover on the first of them; with
-    ``S1``/``S2`` the prefix sums of the centred rows and of their squared
-    norms, the n-row sums ``D = S1[n:] - S1[:-n]`` and
-    ``Q = S2[n:] - S2[:-n]`` give, for the window whose halves are
-    ``L = D[j]`` and ``R = D[j + n]``,
+    Equal, bit for bit, to building an ``ObservationWindow`` and sliding
+    through the stream, but computed in O(T d) from prefix sums.  Window
+    positions are taken in blocks of ``_BLOCK``, whose ``_BLOCK + 2n - 1`` rows
+    :func:`_anchored_block` centres on the first.  With its half-window sums,
+    the window whose halves are ``L = D[j]`` and ``R = D[j + n]`` has
 
-        w_left  = n Q[j] - |L|^2,    w_right = n Q[j + n] - |R|^2,
-        w_full  = 2n (Q[j] + Q[j + n]) - (|L|^2 + |R|^2 + 2 L.R),
+        w_left = seg[j],  w_right = seg[j + n],
+        w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right),
 
-    all from plain slices.  Temporaries are O(_BLOCK d) on top of the O(T)
-    outputs, and the rounding error of a window is bounded by the spread of
-    the data between it and its block anchor, at most ``_BLOCK + 2n - 2`` rows
-    away, not by the data's distance from the start of the stream.
-    Non-finite input is caught from each block's sum of squares.
+    from plain slices of the block, each clamped at zero.  Temporaries are
+    O(_BLOCK d) on top of the O(T) outputs.
     """
     y = _stack_rows(stream)
     n = int(half_length)
@@ -336,44 +359,19 @@ def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
         raise ValueError(f"stream of length {t_len} never warms a 2x{n} window")
 
     count = t_len - 2 * n + 1
-    # seg[r] = n Q - |D|^2, the spanning distance of the n rows from row r on;
-    # res[i] = |L|^2 + |R|^2 - 2 L.R, the rest of w_full of window i:
-    # w_full = 2 (w_left + w_right) + res.
-    seg, res = np.empty(count + n), np.empty(count)
+    w_left, w_right, w_full = np.empty(count), np.empty(count), np.empty(count)
     rows = min(count, _BLOCK) + 2 * n - 1
-    # Block buffers, reused: s1/s2 take the centred rows and their squared
-    # norms at offsets 1.., then their prefix sums in place.
-    s1, s2 = np.zeros((rows + 1, d)), np.zeros(rows + 1)
-    sums, sums_sq = np.empty((rows + 1 - n, d)), np.empty(rows + 1 - n)
-    with np.errstate(invalid="ignore"):  # non-finite input raises below
+    s1, sums = np.zeros((rows + 1, d)), np.empty((rows + 2 - n, d))
+    sums[-1] = 0.0  # the spare row of a one-window block
+    with np.errstate(invalid="ignore"):  # non-finite input raises in _anchored_block
         for lo in range(0, count, _BLOCK):
             b = min(_BLOCK, count - lo)
-            m = b + 2 * n - 1
-            block = y[lo : lo + m]
-            centred, sq = s1[1 : m + 1], s2[1 : m + 1]
-            np.subtract(block, block[0], out=centred)
-            np.einsum("ij,ij->i", centred, centred, out=sq)
-            np.cumsum(centred, axis=0, out=centred)
-            np.cumsum(sq, out=sq)
-            # The sum of squares is non-finite if any input is (or overflows).
-            if not math.isfinite(sq[-1]) and not np.all(np.isfinite(block)):
-                raise _NonFiniteError(_NON_FINITE)
-            k = b + n
-            dn, dn_sq, seg_b, res_b = sums[:k], sums_sq[:k], seg[lo : lo + k], res[lo : lo + b]
-            np.subtract(s1[n : m + 1], s1[:k], out=dn)
-            np.subtract(s2[n : m + 1], s2[:k], out=seg_b)
-            np.einsum("ij,ij->i", dn, dn, out=dn_sq)
-            seg_b *= n
-            seg_b -= dn_sq
-            np.einsum("ij,ij->i", dn[:b], dn[n:], out=res_b)
-            res_b *= -2.0
-            res_b += dn_sq[:b]
-            res_b += dn_sq[n:]
-    w_full = np.add(seg[:count], seg[n:])
-    w_full *= 2.0
-    w_full += res
-    # The true distances are nonnegative: clamp cancellation residue to zero.
-    np.maximum(w_full, 0.0, out=w_full)
-    w_left, w_right = np.maximum(seg[:count], 0.0), np.maximum(seg[n:], 0.0)
-    clocks = np.arange(2 * n, t_len + 1)
-    return SlidingStats(clocks=clocks, w_left=w_left, w_right=w_right, w_full=w_full)
+            _, _, _, dn_sq, seg, cross = _anchored_block(y[lo : lo + b + 2 * n - 1], n, s1, sums)
+            full = np.add(seg[:b], seg[n:], out=w_full[lo : lo + b])
+            full *= 2.0
+            full += cross * -2.0 + dn_sq[:b] + dn_sq[n:]
+            # The true distances are nonnegative: clamp cancellation residue to zero.
+            np.maximum(full, 0.0, out=full)
+            np.maximum(seg[:b], 0.0, out=w_left[lo : lo + b])
+            np.maximum(seg[n:], 0.0, out=w_right[lo : lo + b])
+    return SlidingStats(np.arange(2 * n, t_len + 1), w_left, w_right, w_full)

@@ -280,6 +280,25 @@ class TestDetectCommand:
         assert code == EXIT_USAGE
         assert "'dimension'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "reshape, message",
+        [
+            (lambda doc: doc | {"entries": 5}, "field of the wrong type"),
+            (lambda doc: doc | {"entries": [list(doc["entries"][0].values())]},
+             "field of the wrong type"),
+            (lambda doc: [doc], "must be a JSON object"),
+            (lambda doc: doc | {"dimension": None}, "field of the wrong type"),
+        ],
+        ids=["entries-int", "entry-list", "top-level-list", "dimension-null"],
+    )
+    def test_table_wrong_shape_exits_2(self, tmp_path, calibrated_table, capsys, reshape, message):
+        table = tmp_path / "shape.json"
+        _write(table, json.dumps(reshape(json.loads(calibrated_table.read_text()))))
+        code = main(["detect", "--input", str(self._stream_csv(tmp_path)),
+                     "--thresholds", str(table)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_dimension_mismatch_exits_4(self, tmp_path, calibrated_table):
         stream = self._stream_csv(tmp_path, d=3)
         code = main(

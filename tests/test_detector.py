@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gsrdetect.calibration import analytic_table, calibrate_monte_carlo, CalibrationConfig
+from gsrdetect.calibration import (
+    CalibrationConfig,
+    analytic_table,
+    calibrate_monte_carlo,
+    calibration_maxima,
+)
 from gsrdetect.detector import (
     DetectionEvent,
     Detector,
@@ -185,8 +190,8 @@ class TestPooledStatistics:
 def _assert_same_events(got, expected, rel=1e-9):
     """Event-list equality with tolerance on the statistic value only.
 
-    The batch and incremental paths organise the same arithmetic differently,
-    so statistics agree to rounding noise rather than bit-exactly.
+    For streams that differ by an affine map, whose statistics agree to
+    rounding noise rather than bit-exactly.
     """
     assert [e.as_dict() | {"statistic": None} for e in got] == [
         e.as_dict() | {"statistic": None} for e in expected
@@ -221,7 +226,7 @@ class TestDetectStreamBatch:
         for row in y:
             stepped.extend(det.step(row))
         assert batch and stepped
-        _assert_same_events(batch, stepped)
+        assert stepped == batch
         assert det.halted == (policy == "halt")
 
     @pytest.mark.parametrize("past_edge", [False, True], ids=["at-edge", "past-edge"])
@@ -238,7 +243,7 @@ class TestDetectStreamBatch:
         batch = detect_stream(y, config)
         det = Detector(config, dimension=3)
         stepped = [e for row in y for e in det.step(row)]
-        _assert_same_events(batch, stepped)
+        assert stepped == batch
         ticks = [e.detected_at for e in stepped]
         assert ticks[0] == first
         assert (second in ticks) == past_edge
@@ -298,6 +303,32 @@ class TestDetectStreamBatch:
         )
 
 
+@pytest.mark.parametrize("policy", ["halt", "cooldown", "continue"])
+def test_threshold_ties_fire_on_both_paths(policy):
+    # The replication whose zone maximum is a Monte Carlo threshold ties it
+    # exactly; step and detect_stream must report the same events on it.
+    windows, d = (3, 5), 2
+    config = DetectorConfig(windows=windows, alpha_total=0.3, policy=policy, cooldown=4)
+    mismatched = []
+    for seed in range(40):
+        cal = CalibrationConfig(
+            window_lengths=windows, dimension=d, alphas=config.resolved_alphas(),
+            zone_length=24, replications=40, seed=seed,
+        )
+        table = calibrate_monte_carlo(cal)
+        for (kind, n), maxima in calibration_maxima(cal).items():
+            rho = table.threshold(kind, n)
+            k = int(np.flatnonzero(maxima == rho)[0])
+            y = cal.base_mean + cal.base_scale * derived_rng(seed, k).standard_normal((24, d))
+            batch = detect_stream(y, config, table)
+            if policy == "continue":
+                assert rho in [e.statistic for e in batch if e.window == n]
+            det = Detector(config, d, table)
+            if [e for row in y for e in det.step(row)] != batch:
+                mismatched.append((seed, str(kind), n))
+    assert mismatched == []
+
+
 class TestDetectStreamBlocks:
     """Streams several kernel blocks long, with changes at block boundaries."""
 
@@ -322,7 +353,7 @@ class TestDetectStreamBlocks:
         assert stepped
         if policy != "halt":
             assert len({e.detected_at for e in stepped}) > 3
-        _assert_same_events(batch, stepped)
+        assert stepped == batch
 
     def test_events_are_plain_detection_events(self):
         config = DetectorConfig(windows=(6, 13), alpha_total=0.05, policy="continue")

@@ -6,6 +6,7 @@ import pytest
 from gsrdetect.windows import (
     _BLOCK,
     ObservationWindow,
+    SlidingStats,
     sliding_spanning_stats,
     spanning_distance,
 )
@@ -117,6 +118,25 @@ def test_slide_rejects_dimension_mismatch_and_nonfinite():
         win.slide([1.0, np.inf])
 
 
+def test_rejected_slide_leaves_warm_window_unchanged():
+    stream = np.random.default_rng(7).normal(size=(40, 3))
+    win = ObservationWindow(4, 3)
+    for row in stream[:20]:
+        win.slide(row)
+    before = win.decompose()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            win.slide([0.5, bad, 1.0])
+    assert win.decompose() == before
+    for row in stream[20:]:
+        win.slide(row)
+    batch = sliding_spanning_stats(stream, 4)
+    dec = win.decompose()
+    assert (dec.w_left, dec.w_right, dec.w_full) == (
+        batch.w_left[-1], batch.w_right[-1], batch.w_full[-1]
+    )
+
+
 def test_incremental_matches_enumeration_over_many_slides():
     rng = np.random.default_rng(2)
     n, d = 5, 3
@@ -182,9 +202,44 @@ def test_sliding_spanning_stats_matches_window_path():
         if t >= 2 * n:
             i = t - 2 * n
             dec = win.decompose()
-            assert stats.w_left[i] == pytest.approx(dec.w_left, rel=1e-9, abs=1e-12)
-            assert stats.w_right[i] == pytest.approx(dec.w_right, rel=1e-9, abs=1e-12)
-            assert stats.w_full[i] == pytest.approx(dec.w_full, rel=1e-9, abs=1e-12)
+            assert stats.w_left[i] == dec.w_left
+            assert stats.w_right[i] == dec.w_right
+            assert stats.w_full[i] == dec.w_full
+
+
+def _window_path_stats(stream, n):
+    """The window path's distances at every warm position, as batch-shaped arrays."""
+    win = ObservationWindow(n, stream.shape[1])
+    rows = []
+    for row in stream:
+        win.slide(row)
+        if win.is_warm:
+            dec = win.decompose()
+            rows.append((dec.w_left, dec.w_right, dec.w_full))
+    w_left, w_right, w_full = np.array(rows).T
+    return SlidingStats(np.arange(2 * n, len(stream) + 1), w_left, w_right, w_full)
+
+
+@pytest.mark.parametrize("d", [1, 8, 100])
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_decompose_equals_batch_bit_for_bit_across_blocks(d, n):
+    # a level drift makes rounding visible; the positions cross two anchor blocks
+    rng = np.random.default_rng(100 * d + n)
+    t_len = 2 * _BLOCK + 2 * n + 40
+    stream = rng.normal(size=(t_len, d)) * 3.0 + np.linspace(0.0, 40.0, t_len)[:, None]
+    batch, window = sliding_spanning_stats(stream, n), _window_path_stats(stream, n)
+    for name in ("w_left", "w_right", "w_full"):
+        mismatched = np.flatnonzero(getattr(batch, name) != getattr(window, name))
+        assert mismatched.size == 0, (name, mismatched[:10])
+
+
+@pytest.mark.parametrize("t_len", [4, 9])
+def test_decompose_equals_batch_bit_for_bit_in_long_rows(t_len):
+    # rows longer than numpy's 8192-element iterator buffer, and a block of one window
+    stream = np.random.default_rng(t_len).normal(size=(t_len, 10_001)) * 3.0 + 7.0
+    batch, window = sliding_spanning_stats(stream, 2), _window_path_stats(stream, 2)
+    for name in ("w_left", "w_right", "w_full"):
+        assert np.array_equal(getattr(batch, name), getattr(window, name)), name
 
 
 def test_sliding_spanning_stats_rejects_short_streams():
@@ -239,13 +294,14 @@ def test_sliding_spanning_stats_constant_stream_is_exactly_zero():
         assert not np.any(w)
 
 
-def test_sliding_spanning_stats_accurate_under_level_drift():
+@pytest.mark.parametrize("path", [sliding_spanning_stats, _window_path_stats], ids=["batch", "step"])
+def test_sliding_spanning_stats_accurate_under_level_drift(path):
     # a 100-sigma linear drift: anchoring once at y[0] loses 5e-9 here
     rng = np.random.default_rng(30)
     n, d, t_len = 5, 8, 8192
     assert t_len >= 4 * _BLOCK
     stream = rng.standard_normal((t_len, d)) + np.linspace(0.0, 100.0, t_len)[:, None]
-    stats = sliding_spanning_stats(stream, n)
+    stats = path(stream, n)
     _assert_matches_pairwise(stream, stats, range(0, t_len - 2 * n + 1), n)
 
 
