@@ -258,7 +258,8 @@ class Detector:
         self.config = config
         self.dimension = dimension
         self.thresholds = _resolve_thresholds(config, dimension, thresholds)
-        self._windows = {n: ObservationWindow(n, dimension) for n in config.windows}
+        # Ascending n, so each tick's events come out window-ascending.
+        self._windows = {n: ObservationWindow(n, dimension) for n in sorted(config.windows)}
         self._clock = 0
         self._gap = _quiet_gap(config)
         self._quiet_until = 0  # last tick whose exceedances are not reported
@@ -290,8 +291,8 @@ class Detector:
         hits = []  # (family rank, window, statistic, threshold)
         triples = self._current_triples()
         for rank, kind in enumerate(StatKind):
-            for n in sorted(triples):
-                stat = triples[n].value_of(kind)
+            for n, triple in triples.items():
+                stat = triple.value_of(kind)
                 if stat is None:
                     continue
                 rho = self.thresholds.threshold(kind, n)

@@ -136,12 +136,16 @@ class PowerReport:
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
-def classify_outcome(events: Sequence[DetectionEvent], scenario: Scenario) -> str:
-    """Per-stream confusion label: TP/FN when a change was present, FP/TN when not."""
-    detected = len(events) > 0
-    if scenario.has_change:
+def _confusion_label(has_change: bool, detected: bool) -> str:
+    """TP/FN when a change was present, FP/TN when not."""
+    if has_change:
         return "TP" if detected else "FN"
     return "FP" if detected else "TN"
+
+
+def classify_outcome(events: Sequence[DetectionEvent], scenario: Scenario) -> str:
+    """Per-stream confusion label: TP/FN when a change was present, FP/TN when not."""
+    return _confusion_label(scenario.has_change, len(events) > 0)
 
 
 def _report_from_labels(labels: Sequence[str]) -> PowerReport:
@@ -207,10 +211,7 @@ def run_static_power(
         ratios = _static_gsr(np.stack(windows))
         detected = np.logical_or.reduce([r >= x for r, x in zip(ratios, rho)])
         for scenario, hit in zip(scenarios, detected.tolist()):
-            if scenario.has_change:
-                labels.append("TP" if hit else "FN")
-            else:
-                labels.append("FP" if hit else "TN")
+            labels.append(_confusion_label(scenario.has_change, hit))
     return _report_from_labels(labels)
 
 

@@ -20,6 +20,7 @@ its block anchor, not with its distance from the start of the stream.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -135,7 +136,7 @@ class SpanningDecomposition:
 
 
 class ObservationWindow:
-    """Ring buffer of the last 2n observations with anchored prefix sums.
+    """The last 2n observations, oldest first, with anchored prefix sums.
 
     The left half holds the n oldest buffered observations, the right half the
     n newest.  Observations are fed one at a time with :meth:`slide`; the
@@ -144,8 +145,9 @@ class ObservationWindow:
     to the left, and appends the incoming one.
 
     A window is a single-owner value: slides mutate it in place and return it
-    for convenience.  It re-anchors on its oldest row whenever the window start
-    is a multiple of ``_BLOCK``, counted from its first observation, as
+    for convenience, and it keeps its own copy of each observation.  It
+    re-anchors on its oldest row whenever the window start is a multiple of
+    ``_BLOCK``, counted from its first observation, as
     ``sliding_spanning_stats`` does, so constant streams yield exactly zero
     distances and :meth:`decompose` equals the batch path bit for bit.
     """
@@ -157,15 +159,14 @@ class ObservationWindow:
             raise ValueError("dimension must be at least 1")
         self._n = int(half_length)
         self._d = int(dim)
-        # Observation k (1-based) sits in slot (k - 1) % 2n.
-        self._buf = np.zeros((2 * self._n, self._d))
-        self._count = 0
-        # Set at warm-up by _reanchor: the anchor row, L.R of the current window
-        # and rings of n + 1 slots.  Slot p % (n + 1) of _pre/_pre_sq holds S1/S2
-        # after the p-th observation; slot q % (n + 1) of _half/_half_sq/_seg
-        # holds D, |D|^2 and n Q - |D|^2 of the n observations after the q-th.
+        self._obs = deque(maxlen=2 * self._n)  # copies of the observations
+        # Set at warm-up by _reanchor, all oldest first: the anchor row, L.R of
+        # the current window and the last n + 1 entries of _anchored_block's
+        # S1, S2 (_pre, _pre_sq), D, |D|^2 (_half, _half_sq) and n Q - |D|^2
+        # (_seg), as each slide extends them; the halves are [0] and [-1].
         self._anchor = self._cross = self._pre = self._pre_sq = None
         self._half = self._half_sq = self._seg = None
+        self._slides = 0  # slides since the last anchor
         self._rows = np.zeros((3, self._d))  # reused rows: c, the new D and L
 
     @classmethod
@@ -196,21 +197,21 @@ class ObservationWindow:
     @property
     def count(self) -> int:
         """Observations currently buffered (at most 2n)."""
-        return min(self._count, 2 * self._n)
+        return len(self._obs)
 
     @property
     def is_warm(self) -> bool:
-        return self._count >= 2 * self._n
+        return len(self._obs) == 2 * self._n
 
     def left_half(self) -> np.ndarray:
         """Copy of the n oldest observations, oldest first (warm windows only)."""
         self._require_warm()
-        return np.roll(self._buf, -self._count, axis=0)[: self._n]
+        return np.array(self._obs)[: self._n]
 
     def right_half(self) -> np.ndarray:
         """Copy of the n newest observations, oldest first (warm windows only)."""
         self._require_warm()
-        return np.roll(self._buf, -self._count, axis=0)[self._n :]
+        return np.array(self._obs)[self._n :]
 
     def _require_warm(self) -> None:
         if not self.is_warm:
@@ -219,72 +220,67 @@ class ObservationWindow:
             )
 
     def _reanchor(self) -> None:
-        """Rebuild the rings on the oldest buffered row, as the batch path anchors a block."""
+        """Rebuild the sums on the oldest buffered row, as the batch path anchors a block."""
         n = self._n
-        rows = np.roll(self._buf, -self._count, axis=0)
+        rows = np.array(self._obs)
         s1, s2, half, half_sq, seg, cross = _anchored_block(
             rows, n, np.zeros((2 * n + 1, self._d)), np.zeros((n + 2, self._d))
         )
-        start = self._count - 2 * n
         self._anchor, self._cross = rows[0], float(cross[0])
-        self._pre = np.roll(s1[n:], start + n, axis=0)
-        self._pre_sq = np.roll(s2[n:], start + n).tolist()
-        self._half = np.roll(half, start, axis=0)
-        self._half_sq = np.roll(half_sq, start).tolist()
-        self._seg = np.roll(seg, start).tolist()
+        self._pre, self._pre_sq = deque(s1[n:], n + 1), deque(s2[n:].tolist(), n + 1)
+        self._half, self._half_sq = deque(half, n + 1), deque(half_sq.tolist(), n + 1)
+        self._seg = deque(seg.tolist(), n + 1)
+        self._slides = 0
 
     def slide(self, incoming) -> "ObservationWindow":
         """Feed one observation; fills the window during warm-up, slides after.
 
         Returns the (mutated) window itself.
         """
-        n = self._n
-        if self._count < 2 * n:
-            self._buf[self._count] = _as_observation(incoming, self._d)
-            self._count += 1
-            if self._count == 2 * n:
+        n, obs = self._n, self._obs
+        if len(obs) < 2 * n:
+            obs.append(_as_observation(incoming, self._d).copy())
+            if len(obs) == 2 * n:
                 self._reanchor()
             return self
 
-        y = np.asarray(incoming, dtype=float)
+        y = np.array(incoming, dtype=float)
         if y.shape != self._anchor.shape:
             y = _as_observation(y, self._d)
-        # The newest prefix position p, the newest half-window p - n (the new
-        # window's right half) and the new window's left half, in the batch
-        # path's order: S1[p] = S1[p - 1] + c, D = S1[p] - S1[p - n].  S1[p]
-        # overwrites S1[p - n - 1], which no later slide reads.
-        ring, p, rows, pre, pre_sq = n + 1, self._count + 1, self._rows, self._pre, self._pre_sq
-        new, back = p % ring, (p - n) % ring
+        # The batch path's order at the new prefix position p: S1[p] =
+        # S1[p - 1] + c and D = S1[p] - S1[p - n], with the new window's left
+        # half L = D[p - 2n].
+        rows, pre, pre_sq, half = self._rows, self._pre, self._pre_sq, self._half
         np.subtract(y, self._anchor, out=rows[0])
-        np.add(pre[(p - 1) % ring], rows[0], out=pre[new])
-        np.subtract(pre[new], pre[back], out=rows[1])
-        rows[2] = self._half[(p - 2 * n) % ring]
+        s1 = pre[-1] + rows[0]
+        np.subtract(s1, pre[1], out=rows[1])
+        rows[2] = half[1]
         # |c|^2, |D|^2 and L.R in one einsum over several rows, as the batch
         # path reduces them (einsum splits a lone long row differently).
         sq, half_sq, cross = np.einsum("ij,ij->i", rows, rows[[0, 1, 1]]).tolist()
         # The squared norm is non-finite if the observation is (or overflows).
         if not math.isfinite(sq) and not np.all(np.isfinite(y)):
             raise ValueError("observation contains non-finite values")
-        pre_sq[new] = pre_sq[(p - 1) % ring] + sq
-        self._half[back] = rows[1]
-        self._half_sq[back] = half_sq
-        self._seg[back] = (pre_sq[new] - pre_sq[back]) * n - half_sq
+        s2 = pre_sq[-1] + sq
+        self._seg.append((s2 - pre_sq[1]) * n - half_sq)
+        pre.append(s1)
+        pre_sq.append(s2)
+        half.append(rows[1].copy())
+        self._half_sq.append(half_sq)
         self._cross = cross
-        self._buf[self._count % (2 * n)] = y
-        self._count = p
-        if (p - 2 * n) % _BLOCK == 0:
+        obs.append(y)
+        self._slides += 1
+        if self._slides == _BLOCK:
             self._reanchor()
         return self
 
     def decompose(self) -> SpanningDecomposition:
         """Spanning decomposition of the current warm window."""
         self._require_warm()
-        n = self._n
-        left, right = (self._count - 2 * n) % (n + 1), (self._count - n) % (n + 1)
-        half_sq, seg_left, seg_right = self._half_sq, self._seg[left], self._seg[right]
+        half_sq, seg_left, seg_right = self._half_sq, self._seg[0], self._seg[-1]
         # The batch path's order: (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right),
         # then negative cancellation residue is clamped to zero.
-        w_full = self._cross * -2.0 + half_sq[left] + half_sq[right] + 2.0 * (seg_left + seg_right)
+        w_full = self._cross * -2.0 + half_sq[0] + half_sq[-1] + 2.0 * (seg_left + seg_right)
         w_full, w_left, w_right = max(w_full, 0.0), max(seg_left, 0.0), max(seg_right, 0.0)
         w_btw = max(w_full - w_left - w_right, 0.0)
         w_rem = w_full - 2.0 * (w_left + w_right)

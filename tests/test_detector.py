@@ -267,19 +267,24 @@ class TestDetectStreamBatch:
         assert detect_stream(y, config) == detect_stream(y, config)
 
     def test_event_order_within_tick(self):
-        # simultaneous exceedances are reported family-major, window-minor
-        config = DetectorConfig(windows=(4, 6), alpha_total=0.4, policy="continue")
+        # simultaneous exceedances are reported family-major, window-minor, on
+        # both paths and in whatever order the windows are configured
         rng = derived_rng(9)
         y = rng.standard_normal((80, 2))
         y[40:] = 3.0 * rng.standard_normal((40, 2)) + 4.0
-        events = detect_stream(y, config)
         rank = {"MeanChange": 0, "VarianceIncrease": 1, "VarianceDecrease": 2}
-        by_tick = {}
-        for e in events:
-            by_tick.setdefault(e.detected_at, []).append(e)
-        for tick_events in by_tick.values():
-            keys = [(rank[e.kind], e.window) for e in tick_events]
-            assert keys == sorted(keys)
+        for windows in ((4, 6), (6, 4)):
+            config = DetectorConfig(windows=windows, alpha_total=0.4, policy="continue")
+            events = detect_stream(y, config)
+            det = Detector(config, 2)
+            assert [e for row in y for e in det.step(row)] == events
+            by_tick = {}
+            for e in events:
+                by_tick.setdefault(e.detected_at, []).append(e)
+            assert any(len({e.window for e in tick}) == 2 for tick in by_tick.values())
+            for tick_events in by_tick.values():
+                keys = [(rank[e.kind], e.window) for e in tick_events]
+                assert keys == sorted(keys)
 
     def test_works_with_monte_carlo_table(self):
         table = calibrate_monte_carlo(

@@ -1,14 +1,17 @@
-"""The benchmark's traced callables exist in the package.
+"""The benchmark's traced callables exist in the package and are called.
 
 ``perfbench/tracing.py`` names each callable it wraps by an attribute path in
-a package module.  A refactor that renames or drops one of them would
-otherwise only fail when the benchmark runs with ``--trace 1``.
+a package module.  A refactor that renames or drops one of them, or stops
+routing work through it, would otherwise only show when the benchmark runs
+with ``--trace 1``.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +37,31 @@ def test_every_traced_path_resolves():
             if not callable(getattr(target, "__func__", target)):
                 unresolved.append(f"{layer}.{path}")
     assert not unresolved, f"traced callables missing from the package: {unresolved}"
+
+
+def test_both_detection_paths_report_under_their_traced_names():
+    # the per-layer metrics of the online and batch paths must stay non-zero
+    tracing = _load_tracing()
+    detector = importlib.import_module(f"{tracing.PACKAGE}.detector")
+    stream = np.random.default_rng(3).normal(size=(40, 2))
+    config = detector.DetectorConfig(windows=(4, 6), policy="continue")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        online = detector.Detector(config, 2)
+        for row in stream:
+            online.step(row)
+        detector.detect_stream(stream, config)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    spans = (
+        "windows.slide",
+        "windows.decompose",
+        "ratios.compute_gsr",
+        "detector.step",
+        "windows.sliding_spanning_stats",
+        "detector.detect_stream",
+    )
+    silent = [s for s in spans if not tracing.layer_metric(f"{s}.calls", totals, tracer.counters)]
+    assert not silent, f"traced callables never called: {silent}"

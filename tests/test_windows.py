@@ -118,23 +118,50 @@ def test_slide_rejects_dimension_mismatch_and_nonfinite():
         win.slide([1.0, np.inf])
 
 
-def test_rejected_slide_leaves_warm_window_unchanged():
+@pytest.mark.parametrize("fed", [5, 20], ids=["warming", "warm"])
+def test_rejected_slide_leaves_window_unchanged(fed):
     stream = np.random.default_rng(7).normal(size=(40, 3))
-    win = ObservationWindow(4, 3)
-    for row in stream[:20]:
-        win.slide(row)
-    before = win.decompose()
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            win.slide([0.5, bad, 1.0])
-    assert win.decompose() == before
-    for row in stream[20:]:
-        win.slide(row)
     batch = sliding_spanning_stats(stream, 4)
-    dec = win.decompose()
-    assert (dec.w_left, dec.w_right, dec.w_full) == (
-        batch.w_left[-1], batch.w_right[-1], batch.w_full[-1]
-    )
+    win = ObservationWindow(4, 3)
+    for row in stream[:fed]:
+        win.slide(row)
+    before = win.decompose() if win.is_warm else None
+    bad_rows = [([0.5, bad, 1.0], "non-finite") for bad in (np.nan, np.inf, -np.inf)]
+    for bad, match in bad_rows + [([0.5, 1.0], "dimension")]:
+        with pytest.raises(ValueError, match=match):
+            win.slide(bad)
+        assert win.count == min(fed, 8)
+    if before is not None:
+        assert win.decompose() == before
+    for t, row in enumerate(stream[fed:], start=fed + 1):
+        win.slide(row)
+        if t >= 8:
+            dec = win.decompose()
+            assert (dec.w_left, dec.w_right, dec.w_full) == (
+                batch.w_left[t - 8], batch.w_right[t - 8], batch.w_full[t - 8]
+            )
+
+
+def test_window_owns_observations_fed_through_one_buffer():
+    # a caller may refill one buffer for every observation; the results after
+    # a re-anchor and the halves must not see the later contents
+    n, d = 3, 4
+    stream = np.random.default_rng(12).normal(size=(_BLOCK + 40, d)) * 2.0 + 5.0
+    batch = sliding_spanning_stats(stream, n)
+    win, buf = ObservationWindow(n, d), np.empty(d)
+    for t, row in enumerate(stream, start=1):
+        buf[:] = row
+        win.slide(buf)
+        if t <= 2 * n:
+            assert (win.count, win.is_warm) == (t, t == 2 * n)
+        if win.is_warm:
+            dec, i = win.decompose(), t - 2 * n
+            assert (dec.w_left, dec.w_right, dec.w_full) == (
+                batch.w_left[i], batch.w_right[i], batch.w_full[i]
+            ), t
+    assert win.count == 2 * n
+    np.testing.assert_array_equal(win.left_half(), stream[-2 * n : -n])
+    np.testing.assert_array_equal(win.right_half(), stream[-n:])
 
 
 def test_incremental_matches_enumeration_over_many_slides():
