@@ -216,6 +216,9 @@ class ThresholdTable:
             raise ValueError(f"threshold table lacks the field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"threshold table has a field of the wrong type: {exc}") from None
+        for e in entries:
+            if not math.isfinite(e.rho):
+                raise ValueError(f"threshold for ({e.kind}, n={e.n}) is not finite: {e.rho}")
         return cls(
             dimension=dimension,
             entries=entries,

@@ -282,9 +282,9 @@ class Detector:
 
     def step(self, observation) -> list[DetectionEvent]:
         """Consume one observation and return the events it triggers (often none)."""
-        self._clock += 1
         for win in self._windows.values():
             win.slide(observation)
+        self._clock += 1  # only once every window has accepted the observation
         if self._clock <= self._quiet_until:
             return []
 

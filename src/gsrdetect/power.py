@@ -7,8 +7,8 @@ threshold for the one-sided variance tests.  ``minimum_radius`` is the
 complementary lower bound: below a separation of theta(alpha, beta) *
 sqrt(n d) * sigma^2 no level-alpha test can reach power 1 - beta.
 
-``empirical_power`` and the static study in :mod:`gsrdetect.simulate` test
-their windows with the batch kernel and ratio path of ``detect_stream``.
+``empirical_power`` and the static study in :mod:`gsrdetect.simulate` run the
+batch kernel once per batch of windows, each anchored on its own first row.
 
 Separations are expressed as noncentralities of the scaled chi-square laws of
 the spanning distances.  For a pure mean shift of delta aligned with the
@@ -27,7 +27,7 @@ import numpy as np
 from .calibration import analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 from .ratios import sliding_gsr
-from .windows import SlidingStats, sliding_spanning_stats
+from .windows import SlidingStats, _window_stats
 
 __all__ = [
     "PowerQuery",
@@ -192,9 +192,9 @@ def empirical_power(
 def _static_gsr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GSR triple of each window in a (B, 2n, d) batch of independent windows.
 
-    The windows are stacked into one (B * 2n, d) stream for the batch kernel;
-    every 2n-th warm position of that stream is one of the windows.
+    Each window is anchored on its own first row, as ``sliding_spanning_stats(window, n)`` is.
     """
-    b, m, d = samples.shape
-    stats = sliding_spanning_stats(samples.reshape(b * m, d), m // 2)
-    return sliding_gsr(SlidingStats(*(a[::m] for a in stats)))
+    b, m, _ = samples.shape
+    out = np.empty((3, 1, b))
+    _window_stats(samples.swapaxes(0, 1), m // 2, out)
+    return sliding_gsr(SlidingStats(np.full(b, m), *out[:, 0]))

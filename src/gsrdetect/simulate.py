@@ -2,8 +2,8 @@
 
 Two study designs are provided.  The *static* study draws samples of exactly
 one window (2n observations) with a change at the midpoint in half of the
-samples and applies the single-point test with analytic thresholds; its
-samples go through the batch kernel in batches of independent windows.  The
+samples and applies the single-point test with analytic thresholds, each
+sample anchored on its own first row in a batched kernel call.  The
 *online* study draws full streams, runs the multi-window detector with Monte
 Carlo calibrated thresholds and classifies each stream by whether any event
 was reported.  Both aggregate per-stream decisions into a

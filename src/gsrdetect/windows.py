@@ -7,14 +7,14 @@ observations each; the decomposition of the full-window distance into the two
 half distances, the cross ("between") distance and a residual term is the raw
 material for the change-point ratio statistics.
 
-Both paths share one arithmetic and one anchor schedule: prefix sums of the
-observations centred on the first row of each block of ``_BLOCK`` window
-positions (the shifted update of Chan, Golub & LeVeque).
-``sliding_spanning_stats`` walks an in-memory stream block by block;
-``ObservationWindow`` slides one observation in at O(d) cost, not the O(n^2 d)
-of a pairwise recomputation, and its distances equal the batch path's bit for
-bit.  The rounding error grows with the data's spread between a window and
-its block anchor, not with its distance from the start of the stream.
+Every caller shares one arithmetic: ``_anchored_block``'s prefix sums of
+observations centred on their block's first row (the shifted update of Chan,
+Golub & LeVeque), for one block or a batch.  ``sliding_spanning_stats`` anchors
+a block every ``_BLOCK`` window positions of a stream, the static power studies
+anchor each window of a batch on its own first row, and ``spanning_distance``
+is one half-window.  ``ObservationWindow`` keeps the batch path's sums at O(d)
+per observation and equals it bit for bit.  The rounding error grows with the
+data's spread between a window and its anchor, not with its stream position.
 """
 
 from __future__ import annotations
@@ -102,20 +102,15 @@ def spanning_distance(observations) -> float:
     Returns
     -------
     float
-        Nonnegative spanning distance of the complete graph on the block.
+        Nonnegative spanning distance of the complete graph on the block, as the
+        batch kernel's one half-window anchored on the first row (exactly 0 for equal rows).
     """
     mat = _as_matrix(observations)
     m = mat.shape[0]
     if m < 2:
         raise ValueError("spanning distance needs at least 2 observations")
-    # Anchor on the first observation: shift invariant in exact arithmetic and
-    # exactly zero for blocks of identical points.  m sum |Y_i|^2 - |sum Y_i|^2
-    # is the pairwise sum; negative cancellation residue is clamped to zero.
-    centered = mat - mat[0]
-    ssq = float(np.einsum("ij,ij->", centered, centered))
-    ssum = centered.sum(axis=0)
-    raw = m * ssq - float(ssum @ ssum)
-    return raw if raw > 0.0 else 0.0
+    _, _, _, _, seg, _ = _anchored_block(mat, m)
+    return max(float(seg[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -223,9 +218,7 @@ class ObservationWindow:
         """Rebuild the sums on the oldest buffered row, as the batch path anchors a block."""
         n = self._n
         rows = np.array(self._obs)
-        s1, s2, half, half_sq, seg, cross = _anchored_block(
-            rows, n, np.zeros((2 * n + 1, self._d)), np.zeros((n + 2, self._d))
-        )
+        s1, s2, half, half_sq, seg, cross = _anchored_block(rows, n)
         self._anchor, self._cross = rows[0], float(cross[0])
         self._pre, self._pre_sq = deque(s1[n:], n + 1), deque(s2[n:].tolist(), n + 1)
         self._half, self._half_sq = deque(half, n + 1), deque(half_sq.tolist(), n + 1)
@@ -301,34 +294,54 @@ class SlidingStats(NamedTuple):
     w_full: np.ndarray
 
 
-def _anchored_block(block: np.ndarray, n: int, s1: np.ndarray, sums: np.ndarray):
-    """Prefix sums and half-window sums of a block of m rows centred on its first row.
+def _anchored_block(block: np.ndarray, n: int, s1=None, sums=None):
+    """Prefix sums and half-window sums of blocks of m rows, each centred on its first row.
 
-    Returns ``S1``/``S2``, the prefix sums of the centred rows and of their
-    squared norms from a zero row on; for each half-window r of n rows,
-    ``D[r] = S1[r + n] - S1[r]``, ``|D[r]|^2`` and its spanning distance before
-    clamping, ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``; and ``D[r].D[r + n]``
-    for each window.  The buffers ``s1`` and ``sums`` hold m + 1 and m + 2 - n
-    rows, ``s1[0]`` zero and ``sums[m + 1 - n]`` finite: every einsum reduces
-    two rows or more (it splits a lone row longer than its buffer differently),
-    so a block of one window takes a spare row along.  Non-finite input is
-    caught from the block's sum of squares.
+    ``block`` is (m, d), or (m, ..., d) for a batch of independent blocks whose
+    axes sit between the row and coordinate axes; each is summed as one (m, d)
+    block is, and every output keeps the row axis first.  Returns ``S1``/``S2``,
+    the prefix sums of the centred rows and of their squared norms from a zero
+    row on; for each half-window r of n rows, ``D[r] = S1[r + n] - S1[r]``,
+    ``|D[r]|^2`` and its spanning distance before clamping,
+    ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``; and ``D[r].D[r + n]`` for each
+    window.  The buffers ``s1`` and ``sums`` (zeroed when omitted) hold m + 1 and
+    m + 2 - n rows, ``s1[0]`` zero and ``sums[m + 1 - n]`` finite: a spare row, as
+    every einsum must reduce two rows or more (it splits a lone row longer than
+    its buffer differently).  Non-finite input raises.
     """
-    m = block.shape[0]
+    m, *batch, d = block.shape
     k = m + 1 - n
-    centred, s2 = s1[1 : m + 1], np.zeros(m + 1)
+    if s1 is None:
+        s1, sums = np.zeros((m + 1, *batch, d)), np.zeros((k + 1, *batch, d))
+    centred, s2 = s1[1 : m + 1], np.zeros((m + 1, *batch))
     np.subtract(block, block[0], out=centred)
-    np.einsum("ij,ij->i", centred, centred, out=s2[1:])
+    np.einsum("...j,...j->...", centred, centred, out=s2[1:])
     np.cumsum(centred, axis=0, out=centred)
-    np.cumsum(s2[1:], out=s2[1:])
-    # The sum of squares is non-finite if any input is (or overflows).
-    if not math.isfinite(s2[-1]) and not np.all(np.isfinite(block)):
+    np.cumsum(s2[1:], axis=0, out=s2[1:])
+    # The sums of squares are non-finite if any input is (or overflows).
+    if not all(map(math.isfinite, s2[-1:].flat)) and not np.all(np.isfinite(block)):
         raise _NonFiniteError(_NON_FINITE)
     dn = np.subtract(s1[n : m + 1], s1[:k], out=sums[:k])
-    dn_sq = np.einsum("ij,ij->i", dn, dn)
-    pairs = max(k - n, 2)
-    cross = np.einsum("ij,ij->i", sums[:pairs], sums[n : n + pairs])[: k - n]
-    return s1[: m + 1], s2, dn, dn_sq, (s2[n:] - s2[:k]) * n - dn_sq, cross
+    dn_sq = np.einsum("...j,...j->...", sums[: k + 1], sums[: k + 1])[:k]
+    pairs = max(k - n, 2) if k > n else 0  # a block of one half-window has no pair
+    cross = np.einsum("...j,...j->...", sums[:pairs], sums[n : n + pairs])
+    return s1[: m + 1], s2, dn, dn_sq, (s2[n:] - s2[:k]) * n - dn_sq, cross[: k - n]
+
+
+def _window_stats(block: np.ndarray, n: int, out: np.ndarray, s1=None, sums=None) -> None:
+    """Clamped ``(w_left, w_right, w_full)`` of each 2n-window of anchored blocks, into ``out``.
+
+    With :func:`_anchored_block`'s sums, the window whose halves are ``L = D[j]``
+    and ``R = D[j + n]`` has ``w_left = seg[j]``, ``w_right = seg[j + n]`` and
+    ``w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right)``, each clamped at zero.
+    """
+    _, _, _, dn_sq, seg, cross = _anchored_block(block, n, s1, sums)
+    w_full = np.add(seg[:-n], seg[n:], out=out[2])
+    w_full *= 2.0
+    w_full += cross * -2.0 + dn_sq[:-n] + dn_sq[n:]
+    np.maximum(w_full, 0.0, out=w_full)  # the true distances are nonnegative
+    np.maximum(seg[:-n], 0.0, out=out[0])
+    np.maximum(seg[n:], 0.0, out=out[1])
 
 
 def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
@@ -337,14 +350,8 @@ def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
     Equal, bit for bit, to building an ``ObservationWindow`` and sliding
     through the stream, but computed in O(T d) from prefix sums.  Window
     positions are taken in blocks of ``_BLOCK``, whose ``_BLOCK + 2n - 1`` rows
-    :func:`_anchored_block` centres on the first.  With its half-window sums,
-    the window whose halves are ``L = D[j]`` and ``R = D[j + n]`` has
-
-        w_left = seg[j],  w_right = seg[j + n],
-        w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right),
-
-    from plain slices of the block, each clamped at zero.  Temporaries are
-    O(_BLOCK d) on top of the O(T) outputs.
+    :func:`_window_stats` anchors on the first.  Temporaries are O(_BLOCK d)
+    on top of the O(T) outputs.
     """
     y = _stack_rows(stream)
     n = int(half_length)
@@ -355,19 +362,12 @@ def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
         raise ValueError(f"stream of length {t_len} never warms a 2x{n} window")
 
     count = t_len - 2 * n + 1
-    w_left, w_right, w_full = np.empty(count), np.empty(count), np.empty(count)
+    out = np.empty((3, count))
     rows = min(count, _BLOCK) + 2 * n - 1
     s1, sums = np.zeros((rows + 1, d)), np.empty((rows + 2 - n, d))
-    sums[-1] = 0.0  # the spare row of a one-window block
+    sums[-1] = 0.0  # the kernel's spare row
     with np.errstate(invalid="ignore"):  # non-finite input raises in _anchored_block
         for lo in range(0, count, _BLOCK):
             b = min(_BLOCK, count - lo)
-            _, _, _, dn_sq, seg, cross = _anchored_block(y[lo : lo + b + 2 * n - 1], n, s1, sums)
-            full = np.add(seg[:b], seg[n:], out=w_full[lo : lo + b])
-            full *= 2.0
-            full += cross * -2.0 + dn_sq[:b] + dn_sq[n:]
-            # The true distances are nonnegative: clamp cancellation residue to zero.
-            np.maximum(full, 0.0, out=full)
-            np.maximum(seg[:b], 0.0, out=w_left[lo : lo + b])
-            np.maximum(seg[n:], 0.0, out=w_right[lo : lo + b])
-    return SlidingStats(np.arange(2 * n, t_len + 1), w_left, w_right, w_full)
+            _window_stats(y[lo : lo + b + 2 * n - 1], n, out[:, lo : lo + b], s1, sums)
+    return SlidingStats(np.arange(2 * n, t_len + 1), out[0], out[1], out[2])

@@ -288,8 +288,12 @@ class TestDetectCommand:
              "field of the wrong type"),
             (lambda doc: [doc], "must be a JSON object"),
             (lambda doc: doc | {"dimension": None}, "field of the wrong type"),
+            (lambda doc: doc | {"entries": [e | {"rho": math.nan} for e in doc["entries"]]},
+             "threshold for (mu, n=5) is not finite: nan"),
+            (lambda doc: doc | {"entries": [e | {"rho": math.inf} for e in doc["entries"]]},
+             "threshold for (mu, n=5) is not finite: inf"),
         ],
-        ids=["entries-int", "entry-list", "top-level-list", "dimension-null"],
+        ids=["entries-int", "entry-list", "top-level-list", "dimension-null", "rho-nan", "rho-inf"],
     )
     def test_table_wrong_shape_exits_2(self, tmp_path, calibrated_table, capsys, reshape, message):
         table = tmp_path / "shape.json"

@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that drive ObservationWindow and Detector.step."""
+"""Smoke runs of the demos that drive ObservationWindow, Detector.step and the power studies."""
 
 import os
 import subprocess
@@ -10,7 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_spanning_windows.py", "04_online_detection.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_spanning_windows.py",
+        "04_online_detection.py",
+        "05_power_bounds.py",
+        "06_detection_power_study.py",
+    ],
+)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -123,6 +123,21 @@ class TestDetectorStep:
         with pytest.raises(ValueError, match="dimension"):
             det.step([1.0])
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, 2.0, 3.0]], ids=["nan", "dimension"])
+    def test_rejected_observation_does_not_advance_clock(self, bad):
+        config = DetectorConfig(windows=(3, 5), alpha_total=0.5, policy="continue")
+        y = _shifted_stream(seed=3, t_len=60, d=2, change_at=21, shift=4.0)
+        det = Detector(config, dimension=2)
+        events = []
+        for t, row in enumerate(y, start=1):
+            if t == 21:
+                with pytest.raises(ValueError):
+                    det.step(bad)
+                assert det.clock == 20
+            events.extend(det.step(row))
+        assert det.clock == len(y)
+        assert events and events == detect_stream(y, config)
+
     def test_table_dimension_checked(self):
         table = analytic_table((4,), 2, allocate_alphas(0.06, (4,)))
         with pytest.raises(ValueError, match="dimension"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import naive_decomposition
 
+import gsrdetect.power as power_module
 from gsrdetect.calibration import analytic_threshold_mu
 from gsrdetect.distributions import FisherParams, derived_rng, fisher_upper_quantile
 from gsrdetect.power import (
@@ -16,6 +17,13 @@ from gsrdetect.power import (
     minimum_radius,
     residual_noncentrality,
     shift_for_residual,
+)
+from gsrdetect.ratios import sliding_gsr
+from gsrdetect.windows import (
+    ObservationWindow,
+    SlidingStats,
+    sliding_spanning_stats,
+    spanning_distance,
 )
 
 
@@ -184,3 +192,26 @@ class TestEmpiricalPower:
             hits += halves > 0 and w["w_full"] / halves >= rho
         assert 0 < hits < reps  # both outcomes occur
         assert empirical_power(n, d, alpha, shift, replications=reps, seed=seed) == hits / reps
+
+
+@pytest.mark.parametrize("d", [1, 8, 100, 10_001])
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_static_windows_equal_stream_and_step_paths_bit_for_bit(monkeypatch, n, d):
+    # Each window is anchored on its own first row, whatever batch it is in.
+    count = 64 if d <= 100 else 6  # fewer of the rows longer than numpy's iterator buffer
+    windows = np.random.default_rng(10 * d + n).normal(size=(count, 2 * n, d)) * 3.0 + 7.0
+    windows[:, n:] += 0.5
+    seen = []  # the statistics the static path hands to sliding_gsr
+    monkeypatch.setattr(power_module, "sliding_gsr", lambda s: seen.append(s) or sliding_gsr(s))
+    ratios = [power_module._static_gsr(batch) for batch in np.array_split(windows, 3)]
+    assert len(seen) == 3
+    got = SlidingStats(*map(np.concatenate, zip(*seen)))
+    got_ratios = np.concatenate(ratios, axis=1)
+    for j, window in enumerate(windows):
+        stream = sliding_spanning_stats(window, n)
+        step = ObservationWindow.from_observations(window).decompose()
+        assert got.clocks[j] == stream.clocks[0] == 2 * n
+        for name in ("w_left", "w_right", "w_full"):
+            assert getattr(got, name)[j] == getattr(stream, name)[0] == getattr(step, name), (j, name)
+        assert np.array_equal(got_ratios[:, j], np.ravel(sliding_gsr(stream))), j
+        assert spanning_distance(window[:n]) == step.w_left, j

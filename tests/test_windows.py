@@ -258,6 +258,13 @@ def test_decompose_equals_batch_bit_for_bit_across_blocks(d, n):
     for name in ("w_left", "w_right", "w_full"):
         mismatched = np.flatnonzero(getattr(batch, name) != getattr(window, name))
         assert mismatched.size == 0, (name, mismatched[:10])
+    _assert_anchored_left_halves_are_spanning_distances(stream, n, batch)
+
+
+def _assert_anchored_left_halves_are_spanning_distances(stream, n, batch):
+    """A window anchored on its own first row has w_left == spanning_distance, bit for bit."""
+    for i in range(0, batch.w_left.size, _BLOCK):
+        assert spanning_distance(stream[i : i + n]) == batch.w_left[i], i
 
 
 @pytest.mark.parametrize("t_len", [4, 9])
@@ -267,6 +274,7 @@ def test_decompose_equals_batch_bit_for_bit_in_long_rows(t_len):
     batch, window = sliding_spanning_stats(stream, 2), _window_path_stats(stream, 2)
     for name in ("w_left", "w_right", "w_full"):
         assert np.array_equal(getattr(batch, name), getattr(window, name)), name
+    _assert_anchored_left_halves_are_spanning_distances(stream, 2, batch)
 
 
 def test_sliding_spanning_stats_rejects_short_streams():
