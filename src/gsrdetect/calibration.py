@@ -5,7 +5,9 @@ scan every candidate time of the zone {n+1, ..., N-n+1} with each window
 length, record the per-replication maximum of each ratio statistic, and take
 the empirical upper quantile of the K maxima.  Scanning the maximum over the
 zone absorbs the dependence between overlapping windows that a single-point
-quantile would ignore.
+quantile would ignore.  Replication k is drawn from the generator derived from
+(seed, k), whatever the batching; batches of replications go through the
+batch kernel together, one prefix pass per block for every window length.
 
 Analytic path: single-point critical values from the pivotal F laws,
   mean:     rho = F^{-1}(alpha; d, 2(n-1)d) / (n-1) + 2
@@ -26,7 +28,7 @@ import numpy as np
 
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 from .ratios import StatKind, sliding_gsr
-from .windows import sliding_spanning_stats
+from . import windows
 
 __all__ = [
     "CalibrationError",
@@ -204,14 +206,14 @@ class ThresholdTable:
             entries = tuple(
                 ThresholdEntry(
                     kind=StatKind(e["kind"]),
-                    n=int(e["n"]),
-                    alpha=float(e["alpha"]),
-                    rho=float(e["rho"]),
+                    n=int(_json_number(e["n"], "n", least=2)),
+                    alpha=float(_json_number(e["alpha"], "alpha")),
+                    rho=float(_json_number(e["rho"], "rho")),
                     provenance=str(e["provenance"]),
                 )
                 for e in doc["entries"]
             )
-            dimension = int(doc["dimension"])
+            dimension = int(_json_number(doc["dimension"], "dimension", least=1))
         except KeyError as exc:
             raise ValueError(f"threshold table lacks the field {exc.args[0]!r}") from None
         except TypeError as exc:
@@ -228,6 +230,21 @@ class ThresholdTable:
         )
 
 
+def _json_number(value, name: str, least: int | None = None):
+    """A number read from a threshold table, a whole one of at least ``least`` if given.
+
+    Booleans and strings are rejected rather than coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"threshold table has a field of the wrong type: {name} is {value!r}")
+    fractional = isinstance(value, float) and not value.is_integer()
+    if least is not None and (fractional or value < least):
+        raise ValueError(
+            f"threshold table's {name} must be a whole number of at least {least}, got {value!r}"
+        )
+    return value
+
+
 def _entry_order(window_lengths: Iterable[int]):
     for kind in StatKind:
         for n in sorted(window_lengths):
@@ -241,23 +258,29 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
     uncertainty estimates (bootstrap standard errors of the thresholds) can be
     computed from the same maxima.  Replication k draws its Gaussian sequence
     from the generator derived from (seed, k), so the result is independent of
-    replication order and reproducible run to run.
+    replication order and reproducible run to run.  Replications are scanned
+    in batches of about one kernel block of rows, every window length on one
+    prefix pass per block; each maximum equals a scan of its sequence alone,
+    bit for bit.
     """
     config.validate()
-    windows = tuple(sorted(config.window_lengths))
-    n_zone = config.resolved_zone_length()
+    lengths = tuple(sorted(config.window_lengths))
+    n_zone, dim = config.resolved_zone_length(), config.dimension
     k_reps = config.replications
-    maxima = {key: np.empty(k_reps) for key in _entry_order(windows)}
+    maxima = {key: np.empty(k_reps) for key in _entry_order(lengths)}
 
-    for k in range(k_reps):
-        rng = derived_rng(config.seed, k)
-        y = config.base_mean + config.base_scale * rng.standard_normal(
-            (n_zone, config.dimension)
-        )
-        for n in windows:
-            ratios = sliding_gsr(sliding_spanning_stats(y, n))
-            for kind, r in zip(StatKind, ratios):
-                maxima[(kind, n)][k] = r.max()
+    batch = max(1, windows._BLOCK // n_zone)
+    ys = np.empty((n_zone, min(batch, k_reps), dim))  # rows first, as the kernel takes
+    buffers = windows._scan_buffers(ys.shape, lengths)
+    for lo in range(0, k_reps, batch):
+        reps = range(lo, min(lo + batch, k_reps))
+        for j, k in enumerate(reps):
+            rng = derived_rng(config.seed, k)
+            ys[:, j] = config.base_mean + config.base_scale * rng.standard_normal((n_zone, dim))
+        # A short last batch scans the previous batch's sequences too, and drops them.
+        for n, stats in zip(lengths, windows._window_scan(ys, lengths, buffers)):
+            for kind, r in zip(StatKind, sliding_gsr(stats)):
+                maxima[(kind, n)][lo : lo + len(reps)] = r.max(axis=0)[: len(reps)]
     return maxima
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .calibration import analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 from .ratios import sliding_gsr
-from .windows import SlidingStats, _window_stats
+from .windows import SlidingStats, _window_scan
 
 __all__ = [
     "PowerQuery",
@@ -195,6 +195,5 @@ def _static_gsr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Each window is anchored on its own first row, as ``sliding_spanning_stats(window, n)`` is.
     """
     b, m, _ = samples.shape
-    out = np.empty((3, 1, b))
-    _window_stats(samples.swapaxes(0, 1), m // 2, out)
-    return sliding_gsr(SlidingStats(np.full(b, m), *out[:, 0]))
+    stats = _window_scan(samples.swapaxes(0, 1), (m // 2,))[0]  # one position per window
+    return sliding_gsr(SlidingStats(np.full(b, m), *(w[0] for w in stats[1:])))

@@ -9,12 +9,16 @@ material for the change-point ratio statistics.
 
 Every caller shares one arithmetic: ``_anchored_block``'s prefix sums of
 observations centred on their block's first row (the shifted update of Chan,
-Golub & LeVeque), for one block or a batch.  ``sliding_spanning_stats`` anchors
-a block every ``_BLOCK`` window positions of a stream, the static power studies
-anchor each window of a batch on its own first row, and ``spanning_distance``
-is one half-window.  ``ObservationWindow`` keeps the batch path's sums at O(d)
-per observation and equals it bit for bit.  The rounding error grows with the
-data's spread between a window and its anchor, not with its stream position.
+Golub & LeVeque), for one block or a batch, from which ``_half_windows`` takes
+the sums of each half-window length.  One block loop, ``_window_scan``, anchors
+a block every ``_BLOCK`` window positions and runs one prefix pass per block
+for all window lengths at once.  It serves a stream
+(``sliding_spanning_stats``), a batch of Monte Carlo calibration sequences and a
+batch of static 2n-windows, each anchored on its own first row.
+``spanning_distance`` is one half-window.  ``ObservationWindow`` keeps the batch
+path's sums at O(d) per observation and equals it bit for bit.  The rounding
+error grows with the data's spread between a window and its anchor, not with
+its stream position.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def spanning_distance(observations) -> float:
     m = mat.shape[0]
     if m < 2:
         raise ValueError("spanning distance needs at least 2 observations")
-    _, _, _, _, seg, _ = _anchored_block(mat, m)
+    _, _, seg, _ = _half_windows(*_anchored_block(mat), m)
     return max(float(seg[0]), 0.0)
 
 
@@ -156,9 +160,9 @@ class ObservationWindow:
         self._d = int(dim)
         self._obs = deque(maxlen=2 * self._n)  # copies of the observations
         # Set at warm-up by _reanchor, all oldest first: the anchor row, L.R of
-        # the current window and the last n + 1 entries of _anchored_block's
-        # S1, S2 (_pre, _pre_sq), D, |D|^2 (_half, _half_sq) and n Q - |D|^2
-        # (_seg), as each slide extends them; the halves are [0] and [-1].
+        # the current window and the last n + 1 entries of the kernel's S1, S2
+        # (_pre, _pre_sq), D, |D|^2 (_half, _half_sq) and n Q - |D|^2 (_seg),
+        # as each slide extends them; the halves are [0] and [-1].
         self._anchor = self._cross = self._pre = self._pre_sq = None
         self._half = self._half_sq = self._seg = None
         self._slides = 0  # slides since the last anchor
@@ -218,7 +222,8 @@ class ObservationWindow:
         """Rebuild the sums on the oldest buffered row, as the batch path anchors a block."""
         n = self._n
         rows = np.array(self._obs)
-        s1, s2, half, half_sq, seg, cross = _anchored_block(rows, n)
+        s1, s2 = _anchored_block(rows)
+        half, half_sq, seg, cross = _half_windows(s1, s2, n)
         self._anchor, self._cross = rows[0], float(cross[0])
         self._pre, self._pre_sq = deque(s1[n:], n + 1), deque(s2[n:].tolist(), n + 1)
         self._half, self._half_sq = deque(half, n + 1), deque(half_sq.tolist(), n + 1)
@@ -285,7 +290,8 @@ class SlidingStats(NamedTuple):
 
     ``clocks[i]`` is the 1-based stream position of the newest observation in
     the i-th window; the candidate change time of that window is
-    ``clocks[i] - n + 1``.
+    ``clocks[i] - n + 1``.  For a batch of streams the distances carry the
+    batch axes after the position axis.
     """
 
     clocks: np.ndarray
@@ -294,54 +300,101 @@ class SlidingStats(NamedTuple):
     w_full: np.ndarray
 
 
-def _anchored_block(block: np.ndarray, n: int, s1=None, sums=None):
-    """Prefix sums and half-window sums of blocks of m rows, each centred on its first row.
+def _anchored_block(block: np.ndarray, s1=None, s2=None):
+    """Prefix sums of blocks of m rows, each centred on its first row.
 
     ``block`` is (m, d), or (m, ..., d) for a batch of independent blocks whose
     axes sit between the row and coordinate axes; each is summed as one (m, d)
-    block is, and every output keeps the row axis first.  Returns ``S1``/``S2``,
+    block is, and both outputs keep the row axis first.  Returns ``S1``/``S2``,
     the prefix sums of the centred rows and of their squared norms from a zero
-    row on; for each half-window r of n rows, ``D[r] = S1[r + n] - S1[r]``,
-    ``|D[r]|^2`` and its spanning distance before clamping,
-    ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``; and ``D[r].D[r + n]`` for each
-    window.  The buffers ``s1`` and ``sums`` (zeroed when omitted) hold m + 1 and
-    m + 2 - n rows, ``s1[0]`` zero and ``sums[m + 1 - n]`` finite: a spare row, as
-    every einsum must reduce two rows or more (it splits a lone row longer than
-    its buffer differently).  Non-finite input raises.
+    row on, in the buffers ``s1`` and ``s2`` when given (m + 1 rows or more, row
+    0 zero).  The sums are sequential, so the first r + 1 rows of the result are
+    the result for the first r rows of the block.  Non-finite input raises.
     """
-    m, *batch, d = block.shape
-    k = m + 1 - n
+    m = len(block)
     if s1 is None:
-        s1, sums = np.zeros((m + 1, *batch, d)), np.zeros((k + 1, *batch, d))
-    centred, s2 = s1[1 : m + 1], np.zeros((m + 1, *batch))
+        s1, s2 = np.zeros((m + 1, *block.shape[1:])), np.zeros((m + 1, *block.shape[1:-1]))
+    centred, sq = s1[1 : m + 1], s2[1 : m + 1]
     np.subtract(block, block[0], out=centred)
-    np.einsum("...j,...j->...", centred, centred, out=s2[1:])
+    np.einsum("...j,...j->...", centred, centred, out=sq)
     np.cumsum(centred, axis=0, out=centred)
-    np.cumsum(s2[1:], axis=0, out=s2[1:])
+    np.cumsum(sq, axis=0, out=sq)
     # The sums of squares are non-finite if any input is (or overflows).
-    if not all(map(math.isfinite, s2[-1:].flat)) and not np.all(np.isfinite(block)):
+    if not all(map(math.isfinite, sq[-1:].flat)) and not np.all(np.isfinite(block)):
         raise _NonFiniteError(_NON_FINITE)
-    dn = np.subtract(s1[n : m + 1], s1[:k], out=sums[:k])
+    return s1[: m + 1], s2[: m + 1]
+
+
+def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None):
+    """Sums of the half-windows of n rows, from :func:`_anchored_block`'s m + 1 rows of sums.
+
+    For each half-window r: ``D[r] = S1[r + n] - S1[r]``, ``|D[r]|^2`` and its
+    spanning distance before clamping, ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``;
+    and ``D[r].D[r + n]`` for each window.  The buffer ``sums`` (zeroed when
+    omitted) holds m + 2 - n rows with ``sums[m + 1 - n]`` finite: a spare row, as
+    every einsum must reduce two rows or more (it splits a lone row longer than
+    its buffer differently).
+    """
+    k = s1.shape[0] - n
+    if sums is None:
+        sums = np.zeros((k + 1, *s1.shape[1:]))
+    dn = np.subtract(s1[n:], s1[:k], out=sums[:k])
     dn_sq = np.einsum("...j,...j->...", sums[: k + 1], sums[: k + 1])[:k]
     pairs = max(k - n, 2) if k > n else 0  # a block of one half-window has no pair
     cross = np.einsum("...j,...j->...", sums[:pairs], sums[n : n + pairs])
-    return s1[: m + 1], s2, dn, dn_sq, (s2[n:] - s2[:k]) * n - dn_sq, cross[: k - n]
+    return dn, dn_sq, (s2[n:] - s2[:k]) * n - dn_sq, cross[: k - n]
 
 
-def _window_stats(block: np.ndarray, n: int, out: np.ndarray, s1=None, sums=None) -> None:
-    """Clamped ``(w_left, w_right, w_full)`` of each 2n-window of anchored blocks, into ``out``.
+def _scan_buffers(shape, lengths):
+    """Block buffers of :func:`_window_scan` for input of ``shape``: S1, S2 and each n's sums."""
+    t_len, *batch, d = shape
+    rows = min(_BLOCK + 2 * max(lengths) - 1, t_len)
+    sums = [np.empty((min(t_len - 2 * n + 1, _BLOCK) + n + 1, *batch, d)) for n in lengths]
+    for n_sums in sums:
+        n_sums[-1] = 0.0  # the spare row of _half_windows
+    return np.zeros((rows + 1, *batch, d)), np.zeros((rows + 1, *batch)), sums
 
-    With :func:`_anchored_block`'s sums, the window whose halves are ``L = D[j]``
-    and ``R = D[j + n]`` has ``w_left = seg[j]``, ``w_right = seg[j + n]`` and
-    ``w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right)``, each clamped at zero.
+
+def _window_scan(y: np.ndarray, lengths, buffers=None) -> list[SlidingStats]:
+    """Clamped spanning distances of every warm 2n-window of ``y``, for each n in ``lengths``.
+
+    ``y`` is a (T, d) stream, or a (T, ..., d) batch of streams as
+    :func:`_anchored_block` takes; the distances for n are (T - 2n + 1, ...).
+    Window positions are taken in blocks of ``_BLOCK``, each anchored on its
+    first window's first row: the same rows for every n.  One prefix pass over
+    ``_BLOCK + 2 max(n) - 1`` rows serves every n, whose own ``_BLOCK + 2n - 1``
+    rows are a prefix of it.  The window whose halves are ``L = D[j]`` and
+    ``R = D[j + n]`` has ``w_left = seg[j]``, ``w_right = seg[j + n]`` and
+    ``w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right)``, each clamped
+    at zero.  Temporaries are O(_BLOCK d) per stream on top of the outputs; a
+    caller scanning many batches of one shape passes the same ``buffers`` from
+    :func:`_scan_buffers` each time, rather than allocating them per call.
     """
-    _, _, _, dn_sq, seg, cross = _anchored_block(block, n, s1, sums)
-    w_full = np.add(seg[:-n], seg[n:], out=out[2])
-    w_full *= 2.0
-    w_full += cross * -2.0 + dn_sq[:-n] + dn_sq[n:]
-    np.maximum(w_full, 0.0, out=w_full)  # the true distances are nonnegative
-    np.maximum(seg[:-n], 0.0, out=out[0])
-    np.maximum(seg[n:], 0.0, out=out[1])
+    t_len, *batch, d = y.shape
+    s1, s2, sums = buffers or _scan_buffers(y.shape, lengths)
+    rows = s1.shape[0] - 1
+    scans, results = [], []
+    for n, n_sums in zip(lengths, sums):
+        out = np.empty((3, t_len - 2 * n + 1, *batch))
+        scans.append((n, out, n_sums))
+        results.append(SlidingStats(np.arange(2 * n, t_len + 1), out[0], out[1], out[2]))
+    with np.errstate(invalid="ignore"):  # non-finite input raises in _anchored_block
+        for lo in range(0, t_len - 2 * min(lengths) + 1, _BLOCK):
+            m = min(rows, t_len - lo)
+            _anchored_block(y[lo : lo + m], s1, s2)
+            for n, out, n_sums in scans:
+                m_n = min(m, _BLOCK + 2 * n - 1)
+                if m_n < 2 * n:  # every window of this n is done
+                    continue
+                _, dn_sq, seg, cross = _half_windows(s1[: m_n + 1], s2[: m_n + 1], n, n_sums)
+                w = out[:, lo : lo + m_n + 1 - 2 * n]
+                w_full = np.add(seg[:-n], seg[n:], out=w[2])
+                w_full *= 2.0
+                w_full += cross * -2.0 + dn_sq[:-n] + dn_sq[n:]
+                np.maximum(w_full, 0.0, out=w_full)  # the true distances are nonnegative
+                np.maximum(seg[:-n], 0.0, out=w[0])
+                np.maximum(seg[n:], 0.0, out=w[1])
+    return results
 
 
 def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
@@ -350,24 +403,14 @@ def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
     Equal, bit for bit, to building an ``ObservationWindow`` and sliding
     through the stream, but computed in O(T d) from prefix sums.  Window
     positions are taken in blocks of ``_BLOCK``, whose ``_BLOCK + 2n - 1`` rows
-    :func:`_window_stats` anchors on the first.  Temporaries are O(_BLOCK d)
-    on top of the O(T) outputs.
+    are anchored on the first.  Temporaries are O(_BLOCK d) on top of the O(T)
+    outputs.
     """
     y = _stack_rows(stream)
     n = int(half_length)
     if n < 2:
         raise ValueError("window half-length must be at least 2")
-    t_len, d = y.shape
+    t_len = y.shape[0]
     if t_len < 2 * n:
         raise ValueError(f"stream of length {t_len} never warms a 2x{n} window")
-
-    count = t_len - 2 * n + 1
-    out = np.empty((3, count))
-    rows = min(count, _BLOCK) + 2 * n - 1
-    s1, sums = np.zeros((rows + 1, d)), np.empty((rows + 2 - n, d))
-    sums[-1] = 0.0  # the kernel's spare row
-    with np.errstate(invalid="ignore"):  # non-finite input raises in _anchored_block
-        for lo in range(0, count, _BLOCK):
-            b = min(_BLOCK, count - lo)
-            _window_stats(y[lo : lo + b + 2 * n - 1], n, out[:, lo : lo + b], s1, sums)
-    return SlidingStats(np.arange(2 * n, t_len + 1), out[0], out[1], out[2])
+    return _window_scan(y, (n,))[0]

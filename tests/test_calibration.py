@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gsrdetect import windows as windows_module
 from gsrdetect.calibration import (
     CalibrationConfig,
     CalibrationError,
@@ -19,7 +20,9 @@ from gsrdetect.calibration import (
     empirical_upper_quantile,
 )
 from gsrdetect.detector import allocate_alphas
-from gsrdetect.ratios import StatKind
+from gsrdetect.distributions import derived_rng
+from gsrdetect.ratios import StatKind, sliding_gsr
+from gsrdetect.windows import sliding_spanning_stats
 
 
 def _config(**overrides):
@@ -142,6 +145,48 @@ class TestMonteCarloCalibration:
     def test_rejects_missing_alpha(self):
         with pytest.raises(CalibrationError, match="missing alpha"):
             calibrate_monte_carlo(_config(alphas={(StatKind.MU, 4): 0.05}))
+
+
+def _maxima_oracle(config):
+    """Zone maxima from one scan per replication and window length."""
+    zone = config.resolved_zone_length()
+    maxima = {}
+    for k in range(config.replications):
+        rng = derived_rng(config.seed, k)
+        y = config.base_mean + config.base_scale * rng.standard_normal((zone, config.dimension))
+        for n in config.window_lengths:
+            for kind, r in zip(StatKind, sliding_gsr(sliding_spanning_stats(y, n))):
+                maxima.setdefault((kind, n), []).append(r.max())
+    return maxima
+
+
+@pytest.mark.parametrize(
+    "block, d, zone, lengths, reps, base",
+    [
+        (16, 1, 40, (2, 5, 7), 5, (-3.0, 2.5)),  # zones cross several anchors
+        (16, 8, 6, (2, 3), 7, (0.0, 1.0)),  # batches of 2, the last one short
+        (16, 10_001, 20, (2, 3), 2, (7.0, 0.5)),  # rows longer than numpy's buffer
+        (16, 10_001, 6, (2, 3), 3, (0.0, 1.0)),  # and in batches of 2
+        (2048, 8, 100, (20, 35, 50), 45, (1e3, 4.0)),  # batches of 20
+    ],
+)
+def test_batched_maxima_equal_per_replication_scans(
+    monkeypatch, block, d, zone, lengths, reps, base
+):
+    monkeypatch.setattr(windows_module, "_BLOCK", block)
+    config = _config(
+        window_lengths=lengths,
+        dimension=d,
+        alphas={(kind, n): 0.5 for kind in StatKind for n in lengths},
+        zone_length=zone,
+        replications=reps,
+        base_mean=base[0],
+        base_scale=base[1],
+    )
+    got, want = calibration_maxima(config), _maxima_oracle(config)
+    assert got.keys() == want.keys()
+    for key, values in want.items():
+        assert np.array_equal(got[key], values), key
 
 
 class TestAnalyticThresholds:

@@ -85,6 +85,11 @@ class TestLogReturns:
             log_returns(np.array([[1.0], [0.0]]))
 
 
+def _with_n5(doc, n):
+    """The table document with its n=5 entries' window half-length set to ``n``."""
+    return doc | {"entries": [e | {"n": n} if e["n"] == 5 else e for e in doc["entries"]]}
+
+
 @pytest.fixture()
 def calibrated_table(tmp_path):
     out = tmp_path / "table.json"
@@ -292,8 +297,20 @@ class TestDetectCommand:
              "threshold for (mu, n=5) is not finite: nan"),
             (lambda doc: doc | {"entries": [e | {"rho": math.inf} for e in doc["entries"]]},
              "threshold for (mu, n=5) is not finite: inf"),
+            (lambda doc: doc | {"entries": [e | {"rho": True} for e in doc["entries"]]},
+             "wrong type: rho is True"),
+            (lambda doc: doc | {"entries": [e | {"alpha": True} for e in doc["entries"]]},
+             "wrong type: alpha is True"),
+            (lambda doc: _with_n5(doc, True), "wrong type: n is True"),
+            (lambda doc: doc | {"dimension": True}, "wrong type: dimension is True"),
+            (lambda doc: _with_n5(doc, 5.7), "n must be a whole number of at least 2, got 5.7"),
+            (lambda doc: _with_n5(doc, 1), "n must be a whole number of at least 2, got 1"),
+            (lambda doc: doc | {"dimension": 0},
+             "dimension must be a whole number of at least 1, got 0"),
         ],
-        ids=["entries-int", "entry-list", "top-level-list", "dimension-null", "rho-nan", "rho-inf"],
+        ids=["entries-int", "entry-list", "top-level-list", "dimension-null", "rho-nan", "rho-inf",
+             "rho-bool", "alpha-bool", "n-bool", "dimension-bool", "n-fraction", "n-below-2",
+             "dimension-below-1"],
     )
     def test_table_wrong_shape_exits_2(self, tmp_path, calibrated_table, capsys, reshape, message):
         table = tmp_path / "shape.json"

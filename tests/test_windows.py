@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from gsrdetect import windows as windows_module
 from gsrdetect.windows import (
     _BLOCK,
     ObservationWindow,
     SlidingStats,
+    _window_scan,
     sliding_spanning_stats,
     spanning_distance,
 )
@@ -320,6 +322,22 @@ def test_sliding_spanning_stats_block_boundaries_match_enumeration(n, blocks, ex
     stats = sliding_spanning_stats(stream, n)
     assert stats.w_full.shape == (count,) and stats.clocks[-1] == t_len
     _assert_matches_pairwise(stream, stats, _boundary_starts(count, n), n)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["stream", "batch"])
+@pytest.mark.parametrize("t_len, d", [(18, 2), (53, 4), (66, 1), (37, 10_001)])
+def test_shared_scan_equals_per_n_scans_bit_for_bit(monkeypatch, t_len, d, batch):
+    # Short blocks: the largest window ends a block early and every n crosses anchors.
+    monkeypatch.setattr(windows_module, "_BLOCK", 16)
+    lengths = (2, 5, 9)
+    y = np.random.default_rng(t_len + d).normal(size=(t_len, *batch, d)) * 3.0 + 40.0
+    for n, got in zip(lengths, _window_scan(y, lengths)):
+        for b in np.ndindex(*batch):
+            rows = (slice(None), *b)
+            want = sliding_spanning_stats(np.ascontiguousarray(y[rows]), n)
+            assert np.array_equal(got.clocks, want.clocks)
+            for name in ("w_left", "w_right", "w_full"):
+                assert np.array_equal(getattr(got, name)[rows], getattr(want, name)), (n, b, name)
 
 
 def test_sliding_spanning_stats_constant_stream_is_exactly_zero():
