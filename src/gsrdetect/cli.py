@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import math
 import sys
@@ -33,6 +35,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CALIBRATION = 3
 EXIT_INCOMPATIBLE = 4
+
+_CHUNK = 1 << 16  # bytes per read when counting a stream CSV's commas and quotes
 
 
 class InputFormatError(ValueError):
@@ -66,16 +70,13 @@ def _is_timestamp(cell: str) -> bool:
         return False
 
 
-def read_stream_csv(path: str, time_column: bool = False) -> np.ndarray:
-    """Read a stream CSV: one row per time step, columns are dimensions.
+def _nonblank_rows(lines):
+    """CSV rows of ``lines``, without those whose cells are all blank."""
+    return (row for row in csv.reader(lines) if row and any(c.strip() for c in row))
 
-    An optional header row and an optional leading ISO-8601 timestamp column
-    are detected automatically; a leading integer index column cannot be told
-    apart from data and must be declared with ``time_column=True``.  All data
-    cells must parse as finite reals and every row must have the same width.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+
+def _layout(rows: list[list[str]], time_column: bool) -> tuple[bool, bool]:
+    """(has_header, drop_first) of a stream CSV from its first two non-blank rows."""
     if not rows:
         raise InputFormatError("input CSV is empty")
 
@@ -98,9 +99,18 @@ def read_stream_csv(path: str, time_column: bool = False) -> np.ndarray:
         and _is_timestamp(probe[0])
     )
     has_header = not parses_as_data(rows[0], drop_first)
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
+    if has_header and len(rows) < 2:
         raise InputFormatError("input CSV has a header but no data rows")
+    return has_header, drop_first
+
+
+def _parse_cells(path: str, time_column: bool) -> np.ndarray:
+    """:func:`read_stream_csv` cell by cell: its exact reference, and the one source of
+    row-numbered errors."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(_nonblank_rows(fh))
+    has_header, drop_first = _layout(rows[:2], time_column)
+    data_rows = rows[1:] if has_header else rows
 
     width = len(data_rows[0])
     out = np.empty((len(data_rows), width - (1 if drop_first else 0)))
@@ -116,6 +126,58 @@ def read_stream_csv(path: str, time_column: bool = False) -> np.ndarray:
     if out.shape[1] < 1:
         raise InputFormatError("input CSV has no data columns")
     return out
+
+
+def read_stream_csv(path: str, time_column: bool = False) -> np.ndarray:
+    """Read a stream CSV: one row per time step, columns are dimensions.
+
+    An optional header row and an optional leading ISO-8601 timestamp column
+    are detected automatically from the first two non-blank rows; a leading
+    integer index column cannot be told apart from data and must be declared
+    with ``time_column=True``.  All data cells must parse as finite reals and
+    every row must have the same width.
+
+    Values are exactly what Python's ``float`` gives for each stripped cell.
+    A file without quotes is parsed in one ``np.loadtxt`` pass, kept only when
+    every line it read is as wide as the first data row and every value is
+    finite; any other file is parsed again cell by cell, which names the first
+    bad row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        first_line = fh.readline()
+        head = list(itertools.islice(_nonblank_rows(itertools.chain([first_line], fh)), 2))
+    has_header, drop_first = _layout(head, time_column)
+    first = 1 if drop_first else 0
+    width = len(head[1] if has_header else head[0])
+
+    # csv.reader rejects a cell longer than csv.field_size_limit() (131 072 by
+    # default); a cell of 2 * _CHUNK - 1 bytes or more covers a whole chunk.
+    commas = 0
+    quoted = long_cell = False
+    with open(path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, _CHUNK), b""):
+            commas += chunk.count(b",")
+            quoted |= b'"' in chunk
+            long_cell |= len(chunk) == _CHUNK and not any(c in chunk for c in b",\n\r")
+    if not quoted and not long_cell and width > first:
+        try:
+            out = np.loadtxt(
+                path,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+                encoding="utf-8",
+                skiprows=1 if has_header else 0,
+                usecols=range(first, width),
+            )
+        except ValueError:
+            pass
+        else:
+            # loadtxt ignores cells beyond usecols; a short row makes it raise.
+            data_commas = commas - (first_line.count(",") if has_header else 0)
+            if data_commas == out.shape[0] * (width - 1) and np.isfinite(out).all():
+                return out
+    return _parse_cells(path, time_column)
 
 
 def write_stream_csv(path: str, data: np.ndarray, header: list[str] | None = None) -> None:

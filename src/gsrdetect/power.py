@@ -27,7 +27,7 @@ import numpy as np
 from .calibration import analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 from .ratios import sliding_gsr
-from .windows import SlidingStats, _window_scan
+from .windows import SlidingStats, _scan_buffers, _window_scan
 
 __all__ = [
     "PowerQuery",
@@ -176,24 +176,37 @@ def empirical_power(
     delta = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
     rho = analytic_threshold_mu(n, d, alpha)
     rng = derived_rng(seed, 0x90E6)
+    # Batches are drawn into one array, so the block buffers kept across batches add no peak.
+    batch = np.empty((min(_STATIC_BATCH, replications), 2 * n, d))
+    buffers = {}
 
     hits = 0
     done = 0
     while done < replications:
         b = min(_STATIC_BATCH, replications - done)
-        y = sigma * rng.standard_normal((b, 2 * n, d))
+        y = rng.standard_normal(out=batch[:b])
+        y *= sigma
         y[:, n:, :] += delta
-        r_mu = _static_gsr(y)[0]
+        r_mu = _static_gsr(y, buffers)[0]
         hits += int(np.count_nonzero(r_mu >= rho))
         done += b
     return hits / replications
 
 
-def _static_gsr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _static_gsr(
+    samples: np.ndarray, buffers: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GSR triple of each window in a (B, 2n, d) batch of independent windows.
 
     Each window is anchored on its own first row, as ``sliding_spanning_stats(window, n)`` is.
+    A study scanning many batches passes every call the same dict ``buffers``: it
+    keeps the block buffers of the last batch shape for the next batch of that shape.
     """
     b, m, _ = samples.shape
-    stats = _window_scan(samples.swapaxes(0, 1), (m // 2,))[0]  # one position per window
+    y, lengths = samples.swapaxes(0, 1), (m // 2,)
+    if buffers is not None and buffers.get("shape") != y.shape:
+        buffers.clear()  # frees the old shape's buffers before the new ones are allocated
+        buffers.update(shape=y.shape, arrays=_scan_buffers(y.shape, lengths))
+    arrays = None if buffers is None else buffers["arrays"]
+    stats = _window_scan(y, lengths, arrays)[0]  # one position per window
     return sliding_gsr(SlidingStats(np.full(b, m), *(w[0] for w in stats[1:])))

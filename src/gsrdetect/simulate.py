@@ -194,7 +194,7 @@ def run_static_power(
     table = analytic_table([n], dimension, alphas)
     rho = [table.threshold(kind, n) for kind in StatKind]
 
-    labels = []
+    labels, buffers = [], {}
     for lo in range(0, samples, _STATIC_BATCH):
         scenarios, windows = [], []
         for i in range(lo, min(lo + _STATIC_BATCH, samples)):
@@ -208,7 +208,7 @@ def run_static_power(
             )
             windows.append(scenario.sample(rng))
             scenarios.append(scenario)
-        ratios = _static_gsr(np.stack(windows))
+        ratios = _static_gsr(np.stack(windows), buffers)
         detected = np.logical_or.reduce([r >= x for r, x in zip(ratios, rho)])
         for scenario, hit in zip(scenarios, detected.tolist()):
             labels.append(_confusion_label(scenario.has_change, hit))

@@ -3,12 +3,20 @@
 Everything here computes spanning quantities by explicit pairwise
 enumeration (directly or via scipy's pdist), never through the running-sum
 identity the package uses, so agreement is evidence rather than tautology.
+``per_cell_csv`` reads a stream CSV with ``csv`` and ``float`` alone, never
+through numpy's text parser.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from datetime import datetime
+
 import numpy as np
 from scipy.spatial.distance import pdist
+
+from gsrdetect.cli import InputFormatError
 
 
 def pairwise_spanning(points) -> float:
@@ -44,3 +52,68 @@ def naive_decomposition(window: np.ndarray) -> dict[str, float]:
         "w_btw": w_full - w_left - w_right,
         "w_rem": w_full - 2.0 * (w_left + w_right),
     }
+
+
+def per_cell_csv(path, time_column: bool) -> np.ndarray:
+    """A stream CSV read cell by cell: ``float(cell.strip())`` over ``csv.reader`` rows.
+
+    Follows ``gsrdetect.cli.read_stream_csv``'s layout rules and messages: rows
+    whose cells are all blank are skipped, a header and a leading timestamp
+    column are told from the first two rows, and errors raise
+    ``InputFormatError`` naming the row among the kept ones.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    if not rows:
+        raise InputFormatError("input CSV is empty")
+
+    def numeric(cells):
+        try:
+            return bool([float(cell.strip()) for cell in cells])
+        except ValueError:
+            return False
+
+    def iso(text):
+        try:
+            datetime.fromisoformat(text.strip())
+        except ValueError:
+            return False
+        return True
+
+    first_cells = rows[0][1:] if time_column else rows[0]
+    probe = rows[1] if len(rows) > 1 and not numeric(first_cells) else rows[0]
+    skip = 1 if time_column or (not numeric(probe) and numeric(probe[1:]) and iso(probe[0])) else 0
+    header = not numeric(rows[0][skip:])
+    data = rows[1:] if header else rows
+    if not data:
+        raise InputFormatError("input CSV has a header but no data rows")
+    width = len(data[0])
+    values = []
+    for number, row in enumerate(data, start=2 if header else 1):
+        if len(row) != width:
+            raise InputFormatError(f"row {number}: expected {width} columns, found {len(row)}")
+        for col, cell in enumerate(row[skip:], start=skip + 1):
+            if not cell.strip():
+                raise InputFormatError(f"row {number}: empty value in column {col}")
+            try:
+                value = float(cell.strip())
+            except ValueError:
+                raise InputFormatError(
+                    f"row {number}: cannot parse {cell!r} in column {col} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise InputFormatError(f"row {number}: non-finite value in column {col}")
+            values.append(value)
+    if width <= skip:
+        raise InputFormatError("input CSV has no data columns")
+    return np.array(values, dtype=float).reshape(len(data), width - skip)
+
+
+def parse_outcome(parse, path, time_column: bool):
+    """What ``parse(path, time_column)`` gives: the array's dtype, shape and bytes, or the
+    exception's type and message."""
+    try:
+        out = parse(path, time_column)
+    except Exception as exc:  # any exception is an outcome to compare
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()

@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gsrdetect import cli as cli_module
 from gsrdetect.cli import (
     EXIT_CALIBRATION,
     EXIT_INCOMPATIBLE,
@@ -16,6 +18,7 @@ from gsrdetect.cli import (
     write_stream_csv,
 )
 from gsrdetect.distributions import derived_rng
+from oracles import parse_outcome, per_cell_csv
 
 
 def _write(path, text):
@@ -71,6 +74,129 @@ class TestReadStreamCsv:
         write_stream_csv(str(f), data)
         np.testing.assert_array_equal(read_stream_csv(str(f)), data)
 
+
+
+_TS = ("2015-01-02", "2015-01-05T10:00:00", "2015-01-06")
+HOSTILE_CSV = {
+    "plain": "1.0,2.0\n3.0,4.0\n",
+    "header": "x,y\n1,2\n3,4\n",
+    "timestamps": f"date,a,b\n{_TS[0]},1.5,2\n{_TS[1]},3,-4e-3\n",
+    "timestamps-no-header": f"{_TS[0]},1.5,2\n{_TS[1]},3,4\n",
+    "index-column": "1,5.0\n2,6.0\n",
+    "ragged-short": "1,2\n3\n",
+    "ragged-long": "1,2\n3,4,5\n",
+    "ragged-long-first": "1,2,9\n3,4\n",
+    "trailing-comma": "1,2,\n3,4,\n",
+    "header-wider": f"{_TS[0]},1,2,x\n{_TS[1]},3,4\n",
+    "header-narrower": f"t,a\n{_TS[0]},3,4\n",
+    "quoted-number": '"1.0",2\n3,4\n',
+    "quoted-comma": '"1,5",2\n3,4\n',
+    "quoted-header": '"x","y"\n1,2\n',
+    "crlf": "x,y\r\n1,2\r\n3,4\r\n",
+    "cr": "x,y\r1,2\r3,4\r",
+    "mixed-line-ends": "x,y\r\n1,2\r3,4\n5,6",
+    "blank-rows": "1,2\n\n\n3,4\n\n",
+    "blank-rows-crlf": "1,2\r\n\r\n3,4\r\n",
+    "blank-rows-cr": "1,2\r\r3,4\r",
+    "whitespace-rows": "1,2\n   \n\t\n3,4\n",
+    "comma-rows": "1,2\n,\n , \n3,4\n",
+    "form-feed-row": "1,2\n\x0c\n3,4\n",
+    "leading-blank-line": "\nx,y\n1,2\n",
+    "leading-whitespace-line": "  \nx,y\n1,2\n",
+    "leading-comma-line": ",,\nx,y\n1,2\n",
+    "leading-blank-wide-header": f"\n{_TS[0]},1,2,x\n{_TS[1]},3,4\n",
+    "hash-row": "1,2\n#3,4\n",
+    "hash-header": "#x,y\n1,2\n",
+    "underscore": "1_0,2\n3,4\n",
+    "double-underscore": "1__0,2\n3,4\n",
+    "empty-cell-last": "1,\n3,4\n",
+    "empty-cell-first": "1,2\n,4\n",
+    "nan": "nan,2\n3,4\n",
+    "minus-inf": "1,2\n3,-inf\n",
+    "infinity": "Infinity,2\n3,4\n",
+    "overflow": "1e400,2\n3,4\n",
+    "underflow-and-minus-zero": "1e-400,2\n-0.0,4\n",
+    "signs-and-bare-points": "+1.5,-.5\n3.,4\n",
+    "fortran-exponent": "1.5d3,2\n3,4\n",
+    "hex": "0x10,2\n3,4\n",
+    "full-width-digits": "\uff11.\uff15,2\n3,4\n",
+    "full-width-after-header": "x,y\n\uff11,2\n3,4\n",
+    "padded-cells": " 1 , 2\t\n3,4\n",
+    "no-break-space": "\xa01.5\xa0,2\n3,4\n",
+    "vertical-tab-cell": "1\x0b,2\n3,4\n",
+    "next-line-char": "1,2\x85\n3,4\n",
+    "line-separator-char": "1,2\u2028\n3,4\n",
+    "nul-cell": "1\x00,2\n3,4\n",
+    "byte-order-mark": "\ufeff1,2\n3,4\n",
+    "byte-order-mark-header": "\ufeffx,y\n1,2\n",
+    "no-final-line-end": "1,2\n3,4",
+    "words": "a,b\nc,d\n",
+    "semicolons": "1;2\n3;4\n",
+    "timestamp-then-garbage": f"t,a,b\n{_TS[0]},1,2\nnot-a-date,3,4\n",
+    "timestamp-then-number": f"t,a,b\n{_TS[0]},1,2\n5,3,4\n",
+    "one-column": "v\n1\n2\n",
+    "one-column-timestamps": f"{_TS[0]}\n{_TS[1]}\n",
+    "timestamp-and-one-value": f"{_TS[0]},1\n{_TS[1]},2\n",
+    "empty-file": "",
+    "only-blank-lines": "\n\n  \n",
+    "header-only": "a,b\n",
+    "header-only-then-blank": "t,a\n\n",
+    "quoted-line-end-in-header": f't,"a\n5",1,2,3\n{_TS[0]},3,4,5\n',
+    "leading-blank-wide-header-ragged": f"\n{_TS[0]},1,2,x\n{_TS[1]},3,4\n{_TS[2]},5,6,7,8\n",
+    "cell-over-csv-field-limit": "1,2\n3,4\n5," + "0" * 140_000 + "1\n",
+    "long-cell-under-limit": "1,2\n3,4\n5," + "0" * 100_000 + "1\n",
+    "undecodable": b"1,2\n3,\xff\n",
+    "undecodable-after-many-rows": b"1,2\n" * 5000 + b"3,\xff\n",
+}
+
+
+@pytest.mark.parametrize("time_column", [False, True], ids=["auto", "time-column"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_CSV))
+def test_parser_equals_per_cell_oracle(tmp_path, name, time_column):
+    text = HOSTILE_CSV[name]
+    f = tmp_path / "hostile.csv"
+    f.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    want = parse_outcome(per_cell_csv, str(f), time_column)
+    assert parse_outcome(read_stream_csv, str(f), time_column) == want
+    if isinstance(want[0], type) and issubclass(want[0], ValueError):  # undecodable too
+        argv = ["detect", "--input", str(f), "--analytic", "--windows", "2"]
+        assert main(argv + (["--time-column"] if time_column else [])) == EXIT_USAGE
+
+
+def _timestamped_csv(path, rows, d=8):
+    """A header, ISO-8601 timestamps and ``d`` columns of repr floats, as the benchmark writes."""
+    data = 3.0 * derived_rng(8).standard_normal((rows, d))
+    stamps = np.datetime64("2026-01-01T00:00:00") + np.arange(rows).astype("timedelta64[s]")
+    lines = [",".join(["timestamp"] + [f"x{j + 1}" for j in range(d)])]
+    lines += [",".join([s] + [repr(v) for v in r]) for s, r in zip(
+        np.datetime_as_string(stamps).tolist(), data.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data
+
+
+def test_well_formed_file_takes_the_vectorised_path(tmp_path, monkeypatch):
+    f = tmp_path / "stream.csv"
+    data = _timestamped_csv(f, 500)
+
+    def slow_path(*args):
+        raise AssertionError("a well-formed timestamped CSV was parsed cell by cell")
+
+    monkeypatch.setattr(cli_module, "_parse_cells", slow_path)
+    out = read_stream_csv(str(f))
+    assert out.dtype == data.dtype and out.tobytes() == data.tobytes()
+
+
+def test_parser_memory_is_bounded_by_its_output(tmp_path):
+    f = tmp_path / "stream.csv"
+    data = _timestamped_csv(f, 50_000)
+    tracemalloc.start()
+    try:
+        out = read_stream_csv(str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, data)
+    assert peak / out.nbytes < 3.0
 
 class TestLogReturns:
     def test_formula(self):

@@ -1,4 +1,5 @@
-"""Generated-input equivalences between the batch kernel's callers and the step path.
+"""Generated-input equivalences between the batch kernel's callers and the step path,
+and between the CSV reader's vectorised parse and its cell-by-cell reference.
 
 Blocks are shortened to 16 window positions, so streams of a few dozen rows
 cross several anchors; every caller reads ``windows._BLOCK`` at call time.
@@ -18,10 +19,12 @@ from gsrdetect.calibration import (
     ThresholdTable,
     calibration_maxima,
 )
+from gsrdetect.cli import _parse_cells, read_stream_csv
 from gsrdetect.detector import Detector, DetectorConfig, detect_stream
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
 from gsrdetect.windows import _window_scan, sliding_spanning_stats
+from oracles import parse_outcome
 
 BLOCK = 16
 LEVELS = (-1e4, -3.0, 0.5, 100.0, 1e6)
@@ -131,3 +134,59 @@ def test_step_equals_detect_stream(case, policy, cooldown, alpha_total, ties):
     table = None if ties is None else _tie_table(y, lengths, ties)
     detector = Detector(config, y.shape[1], table)
     assert [e for row in y for e in detector.step(row)] == detect_stream(y, config, table)
+
+
+HOSTILE_CELLS = (
+    "", " ", "nan", "-inf", "1e400", "1_0", "\uff17", "abc", "#5", '"2.5"', '"1,5"',
+    " 3.5 ", "0x10", "-0.0", "1e-400", "5e-324", "2015-01-02",
+)
+FLOAT_FORMATS = (repr, "{:.3e}".format, "{:g}".format, lambda v: f" {v!r}\t")
+BLANK_LINES = ("", "  ", ",,", " , ")
+
+
+@st.composite
+def stream_csv_texts(draw):
+    """(CSV text, time_column): repr floats, and in some files hostile cells, ragged and blank rows.
+
+    The values come from a seeded generator, with magnitudes up to 1e300 either way.
+    """
+    d, rows, stamped = draw(st.integers(1, 10)), draw(st.integers(0, 12)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from((0, 5, 300)))
+    values = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-span, span + 1, (rows, d))
+    fmt = draw(st.sampled_from(FLOAT_FORMATS))
+    table = [[fmt(v) for v in row] for row in values.tolist()]
+    index = st.integers(0, 13)
+    if draw(st.booleans()):  # a hostile file
+        tokens = st.tuples(index, index, st.sampled_from(HOSTILE_CELLS))
+        for r, c, token in draw(st.lists(tokens, max_size=3)):
+            if r < rows:
+                table[r][c % d] = token
+        for r, extra in draw(st.lists(st.tuples(index, st.booleans()), max_size=2)):
+            if r < rows:
+                table[r] = table[r] + ["1"] if extra else table[r][:-1]
+    if stamped:
+        table = [[f"2020-01-{i + 1:02d}T09:30:00"] + cells for i, cells in enumerate(table)]
+    lines = [",".join(cells) for cells in table]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(["date"] * int(stamped) + [f"x{j}" for j in range(d)]))
+    for at, blank in draw(st.lists(st.tuples(index, st.sampled_from(BLANK_LINES)), max_size=2)):
+        lines.insert(at, blank)
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return eol.join(lines) + draw(st.sampled_from((eol, ""))), draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "stream.csv"
+
+
+@_settings(200)
+@given(stream_csv_texts())
+def test_csv_reader_equals_cell_by_cell_parse(csv_path, case):
+    text, time_column = case
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    path = str(csv_path)
+    assert parse_outcome(read_stream_csv, path, time_column) == parse_outcome(
+        _parse_cells, path, time_column
+    )
