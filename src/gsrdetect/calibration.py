@@ -261,7 +261,9 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
     replication order and reproducible run to run.  Replications are scanned
     in batches of about one kernel block of rows, every window length on one
     prefix pass per block; each maximum equals a scan of its sequence alone,
-    bit for bit.
+    bit for bit.  Each replication is drawn, scaled and shifted in place in a
+    contiguous slot of one replication-first array, which the kernel reads
+    through a rows-first view.
     """
     config.validate()
     lengths = tuple(sorted(config.window_lengths))
@@ -270,13 +272,16 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
     maxima = {key: np.empty(k_reps) for key in _entry_order(lengths)}
 
     batch = max(1, windows._BLOCK // n_zone)
-    ys = np.empty((n_zone, min(batch, k_reps), dim))  # rows first, as the kernel takes
+    draws = np.empty((min(batch, k_reps), n_zone, dim))  # one contiguous slot per replication
+    ys = draws.swapaxes(0, 1)  # rows first, as the kernel takes
     buffers = windows._scan_buffers(ys.shape, lengths)
     for lo in range(0, k_reps, batch):
         reps = range(lo, min(lo + batch, k_reps))
         for j, k in enumerate(reps):
-            rng = derived_rng(config.seed, k)
-            ys[:, j] = config.base_mean + config.base_scale * rng.standard_normal((n_zone, dim))
+            # base_mean + base_scale * z, bit for bit, without temporaries
+            z = derived_rng(config.seed, k).standard_normal(out=draws[j])
+            z *= config.base_scale
+            z += config.base_mean
         # A short last batch scans the previous batch's sequences too, and drops them.
         for n, stats in zip(lengths, windows._window_scan(ys, lengths, buffers)):
             for kind, r in zip(StatKind, sliding_gsr(stats)):

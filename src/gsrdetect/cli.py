@@ -497,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except IncompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except (InputFormatError, ValueError, OSError) as exc:
+    except (InputFormatError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -168,6 +168,9 @@ def _maxima_oracle(config):
         (16, 10_001, 20, (2, 3), 2, (7.0, 0.5)),  # rows longer than numpy's buffer
         (16, 10_001, 6, (2, 3), 3, (0.0, 1.0)),  # and in batches of 2
         (2048, 8, 100, (20, 35, 50), 45, (1e3, 4.0)),  # batches of 20
+        (2048, 25, 100, (20, 35, 50), 25, (-2.0, 3.0)),  # rows of 500 values, summed by cumsum
+        (2048, 26, 100, (20, 35, 50), 25, (-2.0, 3.0)),  # rows of 520 values, summed row-wise
+        (16, 300, 40, (2, 5, 7), 3, (4.0, 0.5)),  # one wide replication per batch, across anchors
     ],
 )
 def test_batched_maxima_equal_per_replication_scans(

@@ -92,6 +92,12 @@ HOSTILE_CSV = {
     "quoted-number": '"1.0",2\n3,4\n',
     "quoted-comma": '"1,5",2\n3,4\n',
     "quoted-header": '"x","y"\n1,2\n',
+    "quoted-header-timestamps": f'"timestamp","x1","x2"\n{_TS[0]},1,2\n{_TS[1]},3,4\n',
+    "quoted-header-comma": '"x,1","y"\n1,2\n3,4\n',
+    "quoted-header-doubled-quotes": '"say ""x""","y"\n1,2\n3,4\n',
+    "quoted-header-unclosed": 't"a,"b\n1,2\n3,4\n',
+    "quotes-in-blank-first-line": '""\nx,y\n1,2\n',
+    "quote-in-first-data-row": '"x","y"\n"1",2\n3,4\n',
     "crlf": "x,y\r\n1,2\r\n3,4\r\n",
     "cr": "x,y\r1,2\r3,4\r",
     "mixed-line-ends": "x,y\r\n1,2\r3,4\n5,6",
@@ -184,6 +190,14 @@ def test_well_formed_file_takes_the_vectorised_path(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "_parse_cells", slow_path)
     out = read_stream_csv(str(f))
     assert out.dtype == data.dtype and out.tobytes() == data.tobytes()
+
+
+@pytest.mark.parametrize("time_column", [False, True], ids=["auto", "time-column"])
+def test_cell_over_csv_field_limit_exits_2(tmp_path, time_column):
+    f = tmp_path / "long.csv"
+    f.write_text(HOSTILE_CSV["cell-over-csv-field-limit"], encoding="utf-8")
+    argv = ["detect", "--input", str(f), "--analytic", "--windows", "2"]
+    assert main(argv + (["--time-column"] if time_column else [])) == EXIT_USAGE
 
 
 def test_parser_memory_is_bounded_by_its_output(tmp_path):

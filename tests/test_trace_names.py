@@ -65,3 +65,42 @@ def test_both_detection_paths_report_under_their_traced_names():
     )
     silent = [s for s in spans if not tracing.layer_metric(f"{s}.calls", totals, tracer.counters)]
     assert not silent, f"traced callables never called: {silent}"
+
+
+def test_calibrate_study_reports_under_its_traced_names():
+    # calibrate-study's calibration, online study and power phases each keep their metrics
+    tracing = _load_tracing()
+    package = tracing.PACKAGE
+    calibration = importlib.import_module(f"{package}.calibration")
+    detector = importlib.import_module(f"{package}.detector")
+    power = importlib.import_module(f"{package}.power")
+    simulate = importlib.import_module(f"{package}.simulate")
+    lengths = (5, 8)
+    config = calibration.CalibrationConfig(
+        window_lengths=lengths,
+        dimension=4,
+        alphas=detector.allocate_alphas(0.06, lengths),
+        zone_length=50,
+        replications=200,
+        seed=11,
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        table = calibration.calibrate_monte_carlo(config)
+        simulate.run_online_power(
+            4, windows=lengths, samples=200, seed=11, thresholds=table,
+            stream_length=50, change_position=25,
+        )
+        power.empirical_power(5, 4, 0.05, 0.5, replications=100, seed=11)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    spans = (
+        "calibration.calibration_maxima",
+        "windows.sliding_spanning_stats",
+        "detector.detect_stream",
+        "power.empirical_power",
+    )
+    silent = [s for s in spans if not tracing.layer_metric(f"{s}.calls", totals, tracer.counters)]
+    assert not silent, f"traced callables never called: {silent}"

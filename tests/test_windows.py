@@ -8,6 +8,8 @@ from gsrdetect.windows import (
     _BLOCK,
     ObservationWindow,
     SlidingStats,
+    _anchored_block,
+    _NonFiniteError,
     _window_scan,
     sliding_spanning_stats,
     spanning_distance,
@@ -367,3 +369,33 @@ def test_sliding_spanning_stats_rejects_non_finite_in_any_block(bad, where):
     stream[row, 1] = bad
     with pytest.raises(ValueError, match="^observations contain non-finite values$"):
         sliding_spanning_stats(stream, n)
+
+
+# Rows of 511, 512 and 513 values in S1 and in S2, either side of the row-wise sums' threshold.
+_BATCH_SHAPES = [((7,), 73), ((16,), 32), ((1,), 513), ((511,), 1), ((512,), 1), ((513,), 1), ((3, 5), 35)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 70])
+@pytest.mark.parametrize("batch, d", _BATCH_SHAPES)
+def test_batched_anchored_block_equals_its_slices_bit_for_bit(m, batch, d):
+    y = np.random.default_rng(m + d).normal(size=(m, *batch, d)) * 3.0 + 40.0
+    # Row 1 centres to -0.0 in one coordinate: its running sum must add the zero row 0 first.
+    y[0, ..., 0] = 0.0
+    y[1:2, ..., 0] = -0.0
+    s1, s2 = _anchored_block(y)
+    for b in np.ndindex(*batch):
+        rows = (slice(None), *b)
+        want1, want2 = _anchored_block(np.ascontiguousarray(y[rows]))
+        assert s1[rows].tobytes() == want1.tobytes(), b
+        assert s2[rows].tobytes() == want2.tobytes(), b
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("batch, d", _BATCH_SHAPES[:4])
+def test_batched_anchored_block_rejects_non_finite_in_any_slice(bad, batch, d):
+    y = np.random.default_rng(d).normal(size=(70, *batch, d))
+    for i, b in enumerate(np.ndindex(*batch)):
+        hit = y.copy()
+        hit[((35 * i) % 70, *b, i % d)] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(_NonFiniteError):
+            _anchored_block(hit)
