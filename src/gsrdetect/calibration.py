@@ -103,14 +103,19 @@ class CalibrationConfig:
     base_mean: float = 0.0
     base_scale: float = 1.0
 
+    def __post_init__(self):
+        # Whole floats become ints, as the batch shapes need; validate() rejects the rest.
+        if all(map(windows._is_whole, self.window_lengths)):
+            object.__setattr__(self, "window_lengths", tuple(map(int, self.window_lengths)))
+
     def resolved_zone_length(self) -> int:
         return self.zone_length if self.zone_length is not None else 6 * max(self.window_lengths)
 
     def validate(self) -> None:
         if not self.window_lengths:
             raise CalibrationError("no window lengths given")
-        if any(n < 2 for n in self.window_lengths):
-            raise CalibrationError("window half-lengths must be at least 2")
+        for n in self.window_lengths:
+            windows._half_length(n, CalibrationError)
         if len(set(self.window_lengths)) != len(self.window_lengths):
             raise CalibrationError("duplicate window lengths")
         if self.dimension < 1:
@@ -283,8 +288,9 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
             z *= config.base_scale
             z += config.base_mean
         # A short last batch scans the previous batch's sequences too, and drops them.
-        for n, stats in zip(lengths, windows._window_scan(ys, lengths, buffers)):
-            for kind, r in zip(StatKind, sliding_gsr(stats)):
+        stats = windows._window_scan(ys, lengths, buffers)
+        for j, n in enumerate(lengths):
+            for kind, r in zip(StatKind, sliding_gsr(windows._column(stats, j, n))):
                 maxima[(kind, n)][lo : lo + len(reps)] = r.max(axis=0)[: len(reps)]
     return maxima
 

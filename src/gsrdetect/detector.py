@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -27,7 +28,14 @@ import numpy as np
 
 from .calibration import ThresholdTable, analytic_table
 from .ratios import GsrTriple, StatKind, compute_gsr, sliding_gsr
-from .windows import ObservationWindow, _NonFiniteError, sliding_spanning_stats
+from .windows import (
+    ObservationWindow,
+    SlidingStats,
+    _column,
+    _half_length,
+    _NonFiniteError,
+    sliding_spanning_stats,
+)
 
 __all__ = [
     "EVENT_KIND",
@@ -160,8 +168,8 @@ class DetectorConfig:
     def __post_init__(self):
         if not self.windows:
             raise ValueError("at least one window length is required")
-        if any(n < 2 for n in self.windows):
-            raise ValueError("window half-lengths must be at least 2")
+        # Whole floats become ints, as the events and the kernel's indices need.
+        object.__setattr__(self, "windows", tuple(map(_half_length, self.windows)))
         if len(set(self.windows)) != len(self.windows):
             raise ValueError("duplicate window lengths")
         if self.policy not in _POLICIES:
@@ -337,56 +345,66 @@ def detect_stream(
 
     Vectorised over time, with the same policy and the same arithmetic as
     feeding the stream through :meth:`Detector.step`, so both paths report
-    the same events, bit for bit.  Every exceedance is gathered as arrays,
-    ordered by (tick, family, window) with one sort, and events are built
-    only for the ticks the policy keeps.
+    the same events, bit for bit.  One kernel call scans every window length;
+    the exceedances are flagged per (tick, family, window), which lists them
+    in that order, and events are built only for the ticks the policy keeps.
     """
     y = np.asarray(stream, dtype=float)
     if y.ndim != 2:
         raise ValueError("stream must be a (T, d) array")
     t_len, dimension = y.shape
     windows = [n for n in sorted(config.windows) if t_len >= 2 * n]
-    # Every row lies in a warm window of the shortest length, so the scans
-    # check the whole stream for non-finite values.
+    # Every row lies in a warm window of the shortest length, so the scan
+    # checks the whole stream for non-finite values.
     try:
-        scans = [(n, sliding_spanning_stats(y, n)) for n in windows]
+        stats = sliding_spanning_stats(y, windows) if windows else None
     except _NonFiniteError:
         raise ValueError("stream contains non-finite values") from None
-    if not scans and not np.all(np.isfinite(y)):
+    if not windows and not np.all(np.isfinite(y)):
         raise ValueError("stream contains non-finite values")
     table = _resolve_thresholds(config, dimension, thresholds)
-
-    # One array per column of the exceedances: tick, family rank, window,
-    # statistic and threshold.
-    columns: list[tuple[np.ndarray, ...]] = []
-    for n, s in scans:
-        for rank, (kind, stat) in enumerate(zip(StatKind, sliding_gsr(s))):
-            rho = table.threshold(kind, n)
-            hit = np.flatnonzero(stat >= rho)
-            if hit.size:
-                columns.append(
-                    (s.clocks[hit], np.full(hit.size, rank), np.full(hit.size, n),
-                     stat[hit], np.full(hit.size, rho))
-                )
-    if not columns:
+    if not windows:
         return []
-    clock, rank, window, stat, rho = (np.concatenate(c) for c in zip(*columns))
-    order = np.lexsort((window, rank, clock))
-    clock = clock[order]
+
+    # One ratio column at a time; the flags' C order is (tick, family, window).
+    hits = np.zeros((len(stats.clocks), len(StatKind), len(windows)), dtype=bool)
+    for j, n in enumerate(windows):
+        column = _column(stats, j, n)
+        rows = hits[len(hits) - len(column.clocks) :]  # from n's first warm window on
+        for rank, (kind, stat) in enumerate(zip(StatKind, sliding_gsr(column))):
+            np.greater_equal(stat, table.threshold(kind, n), out=rows[:, rank, j])
+    # np.nonzero takes about 30x longer on a 3-D array than on the flat one.
+    row, rank, col = np.unravel_index(np.flatnonzero(hits), hits.shape)
+    clock = stats.clocks[row]
 
     gap = _quiet_gap(config)
     if gap:
-        kept, quiet_until = [], 0
-        for tick in np.unique(clock).tolist():
-            if tick > quiet_until:
-                kept.append(tick)
-                quiet_until = tick + gap
-        keep = np.isin(clock, kept)
-        order, clock = order[keep], clock[keep]
+        keep = _quiet_filter(clock, gap)
+        clock, row, rank, col = clock[keep], row[keep], rank[keep], col[keep]
+    # The hits' statistics, by the same divisions as the columns' ratios.
+    hit = SlidingStats(clock, *(w[row, col] for w in stats[1:]))
+    rhos = np.array([[table.threshold(kind, n) for n in windows] for kind in StatKind])
     return _build_events(
         clock.tolist(),
-        rank[order].tolist(),
-        window[order].tolist(),
-        stat[order].tolist(),
-        rho[order].tolist(),
+        rank.tolist(),
+        np.array(windows)[col].tolist(),
+        np.choose(rank, sliding_gsr(hit)).tolist(),
+        rhos[rank, col].tolist(),
     )
+
+
+def _quiet_filter(clock: np.ndarray, gap: float) -> np.ndarray:
+    """Mask of the sorted ticks ``clock`` that the quiet-period rule reports.
+
+    A tick is kept, with every tick equal to it, when it lies more than
+    ``gap`` after the last kept tick; each pass jumps to the next kept tick.
+    """
+    ticks = clock.tolist()
+    keep = np.zeros(len(ticks), dtype=bool)
+    i = 0
+    while i < len(ticks):
+        tick = ticks[i]
+        j = bisect_right(ticks, tick, i)
+        keep[i:j] = True
+        i = bisect_right(ticks, tick + gap, j)
+    return keep

@@ -208,5 +208,5 @@ def _static_gsr(
         buffers.clear()  # frees the old shape's buffers before the new ones are allocated
         buffers.update(shape=y.shape, arrays=_scan_buffers(y.shape, lengths))
     arrays = None if buffers is None else buffers["arrays"]
-    stats = _window_scan(y, lengths, arrays)[0]  # one position per window
-    return sliding_gsr(SlidingStats(np.full(b, m), *(w[0] for w in stats[1:])))
+    stats = _window_scan(y, lengths, arrays)  # one position per window
+    return sliding_gsr(SlidingStats(np.full(b, m), *(w[0, :, 0] for w in stats[1:])))

@@ -12,9 +12,10 @@ observations centred on their block's first row (the shifted update of Chan,
 Golub & LeVeque), for one block or a batch, from which ``_half_windows`` takes
 the sums of each half-window length.  One block loop, ``_window_scan``, anchors
 a block every ``_BLOCK`` window positions and runs one prefix pass per block
-for all window lengths at once.  It serves a stream
-(``sliding_spanning_stats``), a batch of Monte Carlo calibration sequences and a
-batch of static 2n-windows, each anchored on its own first row.
+for all window lengths at once, into one output.  It serves a stream
+(``sliding_spanning_stats``, for one window length or several), a batch of
+Monte Carlo calibration sequences and a batch of static 2n-windows, each
+anchored on its own first row.
 ``spanning_distance`` is one half-window.  ``ObservationWindow`` keeps the batch
 path's sums at O(d) per observation and equals it bit for bit.  The rounding
 error grows with the data's spread between a window and its anchor, not with
@@ -24,9 +25,10 @@ its stream position.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +71,21 @@ def _as_observation(y, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("observation contains non-finite values")
     return arr
+
+
+def _is_whole(n) -> bool:
+    """Whether ``n`` is a whole number, and not a boolean."""
+    real = isinstance(n, numbers.Real) and not isinstance(n, (bool, np.bool_))
+    return real and (isinstance(n, numbers.Integral) or float(n).is_integer())
+
+
+def _half_length(n, error=ValueError) -> int:
+    """``n`` as a window half-length: a whole number (not a boolean) of at least 2."""
+    if not _is_whole(n):
+        raise error(f"window half-length must be a whole number, got {n!r}")
+    if n < 2:
+        raise error("window half-length must be at least 2")
+    return int(n)
 
 
 def _stack_rows(observations) -> np.ndarray:
@@ -158,11 +175,9 @@ class ObservationWindow:
     """
 
     def __init__(self, half_length: int, dim: int):
-        if half_length < 2:
-            raise ValueError("window half-length must be at least 2")
+        self._n = _half_length(half_length)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self._n = int(half_length)
         self._d = int(dim)
         self._obs = deque(maxlen=2 * self._n)  # copies of the observations
         # Set at warm-up by _reanchor, all oldest first: the anchor row, L.R of
@@ -292,12 +307,15 @@ class ObservationWindow:
 
 
 class SlidingStats(NamedTuple):
-    """Vectorised spanning statistics of every warm position of one window length.
+    """Vectorised spanning statistics of every warm position of one window length, or several.
 
     ``clocks[i]`` is the 1-based stream position of the newest observation in
     the i-th window; the candidate change time of that window is
     ``clocks[i] - n + 1``.  For a batch of streams the distances carry the
-    batch axes after the position axis.
+    batch axes after the position axis.  Several window lengths add a last
+    axis, one column per length: rows run from the shortest length's first
+    warm window, and a longer length's rows before its own first warm window
+    read NaN.
     """
 
     clocks: np.ndarray
@@ -350,9 +368,9 @@ def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None):
     For each half-window r: ``D[r] = S1[r + n] - S1[r]``, ``|D[r]|^2`` and its
     spanning distance before clamping, ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``;
     and ``D[r].D[r + n]`` for each window.  The buffer ``sums`` (zeroed when
-    omitted) holds m + 2 - n rows with ``sums[m + 1 - n]`` finite: a spare row, as
-    every einsum must reduce two rows or more (it splits a lone row longer than
-    its buffer differently).
+    omitted) holds at least m + 2 - n rows with ``sums[m + 1 - n]`` finite: a
+    spare row, whatever it holds, as every einsum must reduce two rows or more
+    (it splits a lone row longer than its buffer differently).
     """
     k = s1.shape[0] - n
     if sums is None:
@@ -365,58 +383,61 @@ def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None):
 
 
 def _scan_buffers(shape, lengths):
-    """Block buffers of :func:`_window_scan` for input of ``shape``: S1, S2 and each n's sums."""
+    """Block buffers of :func:`_window_scan` for input of ``shape``: S1, S2 and every n's sums."""
     t_len, *batch, d = shape
     rows = min(_BLOCK + 2 * max(lengths) - 1, t_len)
-    sums = [np.empty((min(t_len - 2 * n + 1, _BLOCK) + n + 1, *batch, d)) for n in lengths]
-    for n_sums in sums:
-        n_sums[-1] = 0.0  # the spare row of _half_windows
-    return np.zeros((rows + 1, *batch, d)), np.zeros((rows + 1, *batch)), sums
+    sums = max(min(t_len - 2 * n + 1, _BLOCK) + n + 1 for n in lengths)
+    s1, s2 = np.zeros((rows + 1, *batch, d)), np.zeros((rows + 1, *batch))
+    return s1, s2, np.zeros((sums, *batch, d))
 
 
-def _window_scan(y: np.ndarray, lengths, buffers=None) -> list[SlidingStats]:
-    """Clamped spanning distances of every warm 2n-window of ``y``, for each n in ``lengths``.
+def _window_scan(y: np.ndarray, lengths, buffers=None) -> SlidingStats:
+    """Clamped spanning distances of every warm 2n-window of ``y``, for all n in ``lengths``.
 
     ``y`` is a (T, d) stream, or a (T, ..., d) batch of streams as
-    :func:`_anchored_block` takes; the distances for n are (T - 2n + 1, ...).
-    Window positions are taken in blocks of ``_BLOCK``, each anchored on its
-    first window's first row: the same rows for every n.  One prefix pass over
-    ``_BLOCK + 2 max(n) - 1`` rows serves every n, whose own ``_BLOCK + 2n - 1``
-    rows are a prefix of it.  The window whose halves are ``L = D[j]`` and
-    ``R = D[j + n]`` has ``w_left = seg[j]``, ``w_right = seg[j + n]`` and
-    ``w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right)``, each clamped
-    at zero.  Temporaries are O(_BLOCK d) per stream on top of the outputs; a
-    caller scanning many batches of one shape passes the same ``buffers`` from
-    :func:`_scan_buffers` each time, rather than allocating them per call.
+    :func:`_anchored_block` takes.  The result has one row per clock from
+    ``2 min(n)`` to T and one column per n, in the order given, after any batch
+    axes; n's window ending at clock c is on row ``c - 2 min(n)``, and its rows
+    before clock 2n read NaN.  Window positions are taken in blocks of
+    ``_BLOCK``, each anchored on its first window's first row: the same rows
+    for every n.  One prefix pass over ``_BLOCK + 2 max(n) - 1`` rows serves
+    every n, whose own ``_BLOCK + 2n - 1`` rows are a prefix of it, and each n
+    writes straight into its column of the output.  The window whose halves are
+    ``L = D[j]`` and ``R = D[j + n]`` has ``w_left = seg[j]``,
+    ``w_right = seg[j + n]`` and ``w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right)``,
+    each clamped at zero.  Temporaries are O(_BLOCK d) per stream on top of the
+    outputs; a caller scanning many batches of one shape passes the same
+    ``buffers`` from :func:`_scan_buffers` each time, rather than allocating
+    them per call.
     """
     t_len, *batch, d = y.shape
     s1, s2, sums = buffers or _scan_buffers(y.shape, lengths)
-    rows = s1.shape[0] - 1
-    scans, results = [], []
-    for n, n_sums in zip(lengths, sums):
-        out = np.empty((3, t_len - 2 * n + 1, *batch))
-        scans.append((n, out, n_sums))
-        results.append(SlidingStats(np.arange(2 * n, t_len + 1), out[0], out[1], out[2]))
+    rows, first = s1.shape[0] - 1, 2 * min(lengths)
+    # Each n's distances are contiguous, column by column.
+    out = np.empty((3, len(lengths), t_len - first + 1, *batch))
+    for j, n in enumerate(lengths):
+        out[:, j, : 2 * n - first] = np.nan  # not warm yet
     with np.errstate(invalid="ignore"):  # non-finite input raises in _anchored_block
-        for lo in range(0, t_len - 2 * min(lengths) + 1, _BLOCK):
+        for lo in range(0, t_len - first + 1, _BLOCK):
             m = min(rows, t_len - lo)
             _anchored_block(y[lo : lo + m], s1, s2)
-            for n, out, n_sums in scans:
+            for j, n in enumerate(lengths):
                 m_n = min(m, _BLOCK + 2 * n - 1)
                 if m_n < 2 * n:  # every window of this n is done
                     continue
-                _, dn_sq, seg, cross = _half_windows(s1[: m_n + 1], s2[: m_n + 1], n, n_sums)
-                w = out[:, lo : lo + m_n + 1 - 2 * n]
+                _, dn_sq, seg, cross = _half_windows(s1[: m_n + 1], s2[: m_n + 1], n, sums)
+                row = lo + 2 * n - first
+                w = out[:, j, row : row + m_n + 1 - 2 * n]
                 w_full = np.add(seg[:-n], seg[n:], out=w[2])
                 w_full *= 2.0
                 w_full += cross * -2.0 + dn_sq[:-n] + dn_sq[n:]
                 np.maximum(w_full, 0.0, out=w_full)  # the true distances are nonnegative
                 np.maximum(seg[:-n], 0.0, out=w[0])
                 np.maximum(seg[n:], 0.0, out=w[1])
-    return results
+    return SlidingStats(np.arange(first, t_len + 1), *np.moveaxis(out, 1, -1))
 
 
-def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
+def sliding_spanning_stats(stream, half_length: int | Sequence[int]) -> SlidingStats:
     """Half/full spanning distances for every warm 2n-window of a stream.
 
     Equal, bit for bit, to building an ``ObservationWindow`` and sliding
@@ -424,12 +445,27 @@ def sliding_spanning_stats(stream, half_length: int) -> SlidingStats:
     positions are taken in blocks of ``_BLOCK``, whose ``_BLOCK + 2n - 1`` rows
     are anchored on the first.  Temporaries are O(_BLOCK d) on top of the O(T)
     outputs.
+
+    ``half_length`` is one n, or a sequence of them scanned in one prefix pass
+    per block.  A sequence gives (position, length) distances, one column per
+    n in the order given, on the clocks from ``2 min(n)`` on: column j equals
+    ``sliding_spanning_stats(stream, half_length[j])`` bit for bit from row
+    ``2 (n_j - min(n))`` on, and reads NaN on the rows before.
     """
     y = _stack_rows(stream)
-    n = int(half_length)
-    if n < 2:
-        raise ValueError("window half-length must be at least 2")
+    single = np.ndim(half_length) == 0
+    lengths = [_half_length(n) for n in ([half_length] if single else half_length)]
+    if not lengths:
+        raise ValueError("at least one window half-length is required")
     t_len = y.shape[0]
-    if t_len < 2 * n:
-        raise ValueError(f"stream of length {t_len} never warms a 2x{n} window")
-    return _window_scan(y, (n,))[0]
+    for n in lengths:
+        if t_len < 2 * n:
+            raise ValueError(f"stream of length {t_len} never warms a 2x{n} window")
+    stats = _window_scan(y, lengths)
+    return _column(stats, 0, lengths[0]) if single else stats
+
+
+def _column(stats: SlidingStats, j: int, n: int) -> SlidingStats:
+    """Column j, of length n, of several lengths' statistics, from its first warm window on."""
+    row = 2 * n - stats.clocks[0]
+    return SlidingStats(stats.clocks[row:], *(w[row:, ..., j] for w in stats[1:]))

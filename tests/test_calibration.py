@@ -146,6 +146,18 @@ class TestMonteCarloCalibration:
         with pytest.raises(CalibrationError, match="missing alpha"):
             calibrate_monte_carlo(_config(alphas={(StatKind.MU, 4): 0.05}))
 
+    def test_whole_float_window_lengths_are_ints(self):
+        config = _config(window_lengths=(4.0,))
+        assert config.window_lengths == (4,) and type(config.window_lengths[0]) is int
+        assert calibrate_monte_carlo(config) == calibrate_monte_carlo(_config())
+
+    @pytest.mark.parametrize("n", [5.5, True])
+    def test_rejects_fractional_and_boolean_window_lengths(self, n):
+        lengths = (4, n)
+        config = _config(window_lengths=lengths, alphas=allocate_alphas(0.15, lengths), zone_length=24)
+        with pytest.raises(CalibrationError, match="whole number"):
+            calibrate_monte_carlo(config)
+
 
 def _maxima_oracle(config):
     """Zone maxima from one scan per replication and window length."""

@@ -60,6 +60,24 @@ def _shifted_stream(seed=0, t_len=120, d=4, change_at=61, shift=2.5):
     return y
 
 
+@pytest.mark.parametrize("n", [5.5, 2.9, True])
+def test_config_rejects_fractional_and_boolean_windows(n):
+    # 5.5 once scanned n=5 under thresholds of a fractional-n law, at change_at=97.5
+    with pytest.raises(ValueError, match="whole number"):
+        DetectorConfig(windows=(n,))
+    with pytest.raises(ValueError, match="whole number"):
+        DetectorConfig(windows=(4, n))
+
+
+def test_config_stores_whole_float_windows_as_ints():
+    config = DetectorConfig(windows=(5.0, np.int64(7)))
+    assert config.windows == (5, 7) and all(type(n) is int for n in config.windows)
+    y = _shifted_stream(t_len=200, d=3, change_at=101, shift=3.0)
+    events = detect_stream(y, config)
+    assert events and all(type(e.window) is int and type(e.change_at) is int for e in events)
+    assert events == detect_stream(y, DetectorConfig(windows=(5, 7)))
+
+
 class TestDetectorStep:
     def test_reports_mean_change_near_true_time(self):
         config = DetectorConfig(windows=(15,), alpha_total=0.01, policy="continue")

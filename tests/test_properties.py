@@ -23,7 +23,7 @@ from gsrdetect.cli import _parse_cells, read_stream_csv
 from gsrdetect.detector import Detector, DetectorConfig, detect_stream
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
-from gsrdetect.windows import _window_scan, sliding_spanning_stats
+from gsrdetect.windows import _column, _window_scan, sliding_spanning_stats
 from oracles import parse_outcome
 
 BLOCK = 16
@@ -65,16 +65,25 @@ def streams(draw, batched=False):
 
 
 @_settings(150)
-@given(streams(batched=True))
-def test_shared_scan_equals_per_n_scans(case):
+@given(streams(batched=True), st.randoms(use_true_random=False))
+def test_shared_scan_equals_per_n_scans(case, random):
     y, lengths = case
-    for n, got in zip(lengths, _window_scan(y, lengths)):
-        assert all(np.all(w >= 0.0) for w in got[1:])  # cancellation residue is clamped
-        for b in range(y.shape[1]):
-            want = sliding_spanning_stats(np.ascontiguousarray(y[:, b]), n)
-            assert np.array_equal(got.clocks, want.clocks)
-            for name in ("w_left", "w_right", "w_full"):
-                assert np.array_equal(getattr(got, name)[:, b], getattr(want, name)), (n, b, name)
+    lengths = random.sample(lengths, len(lengths))  # columns follow the order given
+    batched = _window_scan(y, lengths)
+    for b in range(y.shape[1]):
+        stream = np.ascontiguousarray(y[:, b])
+        public = sliding_spanning_stats(stream, lengths)
+        for j, n in enumerate(lengths):
+            want = sliding_spanning_stats(stream, n)
+            for stats, rows in ((batched, (slice(None), b)), (public, slice(None))):
+                got = _column(stats, j, n)
+                assert np.array_equal(got.clocks, want.clocks)
+                cold = len(stats.clocks) - len(got.clocks)
+                assert np.all(np.isnan(stats.w_full[:cold, ..., j]))
+                for name in ("w_left", "w_right", "w_full"):
+                    w = getattr(got, name)[rows]
+                    assert np.all(w >= 0.0)  # cancellation residue is clamped
+                    assert np.array_equal(w, getattr(want, name)), (n, b, name)
 
 
 @_settings(100)

@@ -67,6 +67,21 @@ def test_both_detection_paths_report_under_their_traced_names():
     assert not silent, f"traced callables never called: {silent}"
 
 
+def test_detect_stream_scans_every_window_in_one_traced_call():
+    # one kernel pass serves every window length, and reports once per scan
+    tracing = _load_tracing()
+    detector = importlib.import_module(f"{tracing.PACKAGE}.detector")
+    stream = np.random.default_rng(4).normal(size=(40, 2))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        detector.detect_stream(stream, detector.DetectorConfig(windows=(4, 6), policy="continue"))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert tracing.layer_metric("windows.sliding_spanning_stats.calls", totals, tracer.counters) == 1
+
+
 def test_calibrate_study_reports_under_its_traced_names():
     # calibrate-study's calibration, online study and power phases each keep their metrics
     tracing = _load_tracing()

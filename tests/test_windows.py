@@ -1,5 +1,7 @@
 """Spanning distances, the sliding window, and the vectorised batch path."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gsrdetect.windows import (
     SlidingStats,
     _anchored_block,
     _NonFiniteError,
+    _column,
     _window_scan,
     sliding_spanning_stats,
     spanning_distance,
@@ -333,13 +336,68 @@ def test_shared_scan_equals_per_n_scans_bit_for_bit(monkeypatch, t_len, d, batch
     monkeypatch.setattr(windows_module, "_BLOCK", 16)
     lengths = (2, 5, 9)
     y = np.random.default_rng(t_len + d).normal(size=(t_len, *batch, d)) * 3.0 + 40.0
-    for n, got in zip(lengths, _window_scan(y, lengths)):
+    stats = _window_scan(y, lengths)
+    for j, n in enumerate(lengths):
+        got = _column(stats, j, n)
         for b in np.ndindex(*batch):
             rows = (slice(None), *b)
             want = sliding_spanning_stats(np.ascontiguousarray(y[rows]), n)
             assert np.array_equal(got.clocks, want.clocks)
             for name in ("w_left", "w_right", "w_full"):
                 assert np.array_equal(getattr(got, name)[rows], getattr(want, name)), (n, b, name)
+
+
+@pytest.mark.parametrize(
+    "lengths", [(2, 5, 9), (9, 2, 5), (6, 3)], ids=["ascending", "unordered", "descending"]
+)
+@pytest.mark.parametrize("d", [1, 8, 100, 10_001])
+def test_several_lengths_equal_single_length_calls_bit_for_bit(monkeypatch, d, lengths):
+    # Short blocks: every n crosses several anchors, and the largest ends a block early.
+    monkeypatch.setattr(windows_module, "_BLOCK", 16)
+    t_len = 3 * 16 + 2 * max(lengths) + 6
+    y = np.random.default_rng(d + len(lengths)).normal(size=(t_len, d)) * 3.0 + 40.0
+    stats = sliding_spanning_stats(y, lengths)
+    first = 2 * min(lengths)
+    assert np.array_equal(stats.clocks, np.arange(first, t_len + 1))
+    for j, n in enumerate(lengths):
+        want, warm = sliding_spanning_stats(y, n), 2 * (n - min(lengths))
+        for name in ("w_left", "w_right", "w_full"):
+            column = getattr(stats, name)[:, j]
+            assert column.shape == stats.clocks.shape
+            assert np.all(np.isnan(column[:warm])), (n, name)
+            assert np.array_equal(column[warm:], getattr(want, name)), (n, name)
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ((), "at least one window half-length is required"),
+        ((3, 1), "window half-length must be at least 2"),
+        ((3, 4), "stream of length 7 never warms a 2x4 window"),
+    ],
+    ids=["empty", "short", "long"],
+)
+def test_several_lengths_reject_bad_lengths(lengths, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sliding_spanning_stats(np.zeros((7, 2)), lengths)
+
+
+@pytest.mark.parametrize("half_length", [2.9, 5.5, True, np.True_, "4", float("nan")])
+def test_half_length_must_be_a_whole_number(half_length):
+    y = np.random.default_rng(5).normal(size=(30, 2))
+    with pytest.raises(ValueError, match="whole number"):
+        sliding_spanning_stats(y, half_length)
+    with pytest.raises(ValueError, match="whole number"):
+        sliding_spanning_stats(y, (3, half_length))
+    with pytest.raises(ValueError, match="whole number"):
+        ObservationWindow(half_length, 2)
+
+
+def test_whole_float_half_length_is_the_integer():
+    y = np.random.default_rng(6).normal(size=(30, 2))
+    assert ObservationWindow(5.0, 2).half_length == 5
+    for got, want in zip(sliding_spanning_stats(y, 5.0), sliding_spanning_stats(y, np.int64(5))):
+        assert np.array_equal(got, want)
 
 
 def test_sliding_spanning_stats_constant_stream_is_exactly_zero():
