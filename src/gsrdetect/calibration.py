@@ -107,6 +107,8 @@ class CalibrationConfig:
         # Whole floats become ints, as the batch shapes need; validate() rejects the rest.
         if all(map(windows._is_whole, self.window_lengths)):
             object.__setattr__(self, "window_lengths", tuple(map(int, self.window_lengths)))
+        if windows._is_whole(self.dimension):
+            object.__setattr__(self, "dimension", int(self.dimension))
 
     def resolved_zone_length(self) -> int:
         return self.zone_length if self.zone_length is not None else 6 * max(self.window_lengths)
@@ -118,7 +120,7 @@ class CalibrationConfig:
             windows._half_length(n, CalibrationError)
         if len(set(self.window_lengths)) != len(self.window_lengths):
             raise CalibrationError("duplicate window lengths")
-        if self.dimension < 1:
+        if windows._whole_number(self.dimension, "dimension", CalibrationError) < 1:
             raise CalibrationError(f"dimension must be at least 1, got {self.dimension}")
         if self.replications < 1:
             raise CalibrationError("need at least one replication")

@@ -34,6 +34,7 @@ from .windows import (
     _column,
     _half_length,
     _NonFiniteError,
+    _whole_number,
     sliding_spanning_stats,
 )
 
@@ -261,6 +262,7 @@ class Detector:
         dimension: int,
         thresholds: ThresholdTable | None = None,
     ):
+        dimension = _whole_number(dimension, "dimension")
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         self.config = config

@@ -7,8 +7,10 @@ threshold for the one-sided variance tests.  ``minimum_radius`` is the
 complementary lower bound: below a separation of theta(alpha, beta) *
 sqrt(n d) * sigma^2 no level-alpha test can reach power 1 - beta.
 
-``empirical_power`` and the static study in :mod:`gsrdetect.simulate` run the
-batch kernel once per batch of windows, each anchored on its own first row.
+``empirical_power`` and the static study in :mod:`gsrdetect.simulate` draw each
+batch of windows into the leading slots of one slot array per call and scan the
+whole array on block buffers allocated once, each window anchored on its own
+first row; a short last batch rescans the previous batch's tail and drops it.
 
 Separations are expressed as noncentralities of the scaled chi-square laws of
 the spanning distances.  For a pure mean shift of delta aligned with the
@@ -176,37 +178,33 @@ def empirical_power(
     delta = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
     rho = analytic_threshold_mu(n, d, alpha)
     rng = derived_rng(seed, 0x90E6)
-    # Batches are drawn into one array, so the block buffers kept across batches add no peak.
-    batch = np.empty((min(_STATIC_BATCH, replications), 2 * n, d))
-    buffers = {}
-
+    slots, buffers = _static_slots(replications, n, d)
     hits = 0
-    done = 0
-    while done < replications:
-        b = min(_STATIC_BATCH, replications - done)
-        y = rng.standard_normal(out=batch[:b])
+    for lo in range(0, replications, len(slots)):
+        y = rng.standard_normal(out=slots[: replications - lo])  # the leading slots
         y *= sigma
         y[:, n:, :] += delta
-        r_mu = _static_gsr(y, buffers)[0]
+        # A short last batch scans the previous batch's windows too, and drops them.
+        r_mu = _static_gsr(slots, buffers)[0][: len(y)]
         hits += int(np.count_nonzero(r_mu >= rho))
-        done += b
     return hits / replications
 
 
+def _static_slots(count: int, n: int, d: int):
+    """Slots for one batch of a study's ``count`` 2n-windows, and the block buffers that scan them."""
+    slots = np.empty((min(_STATIC_BATCH, count), 2 * n, d))  # one contiguous slot per window
+    return slots, _scan_buffers(slots.swapaxes(0, 1).shape, (n,))
+
+
 def _static_gsr(
-    samples: np.ndarray, buffers: dict | None = None
+    samples: np.ndarray, buffers: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """GSR triple of each window in a (B, 2n, d) batch of independent windows.
 
     Each window is anchored on its own first row, as ``sliding_spanning_stats(window, n)`` is.
-    A study scanning many batches passes every call the same dict ``buffers``: it
-    keeps the block buffers of the last batch shape for the next batch of that shape.
+    A study scanning many batches passes every call the same ``buffers`` from
+    :func:`_static_slots`.
     """
     b, m, _ = samples.shape
-    y, lengths = samples.swapaxes(0, 1), (m // 2,)
-    if buffers is not None and buffers.get("shape") != y.shape:
-        buffers.clear()  # frees the old shape's buffers before the new ones are allocated
-        buffers.update(shape=y.shape, arrays=_scan_buffers(y.shape, lengths))
-    arrays = None if buffers is None else buffers["arrays"]
-    stats = _window_scan(y, lengths, arrays)  # one position per window
+    stats = _window_scan(samples.swapaxes(0, 1), (m // 2,), buffers)  # one position per window
     return sliding_gsr(SlidingStats(np.full(b, m), *(w[0, :, 0] for w in stats[1:])))

@@ -2,12 +2,13 @@
 
 Two study designs are provided.  The *static* study draws samples of exactly
 one window (2n observations) with a change at the midpoint in half of the
-samples and applies the single-point test with analytic thresholds, each
-sample anchored on its own first row in a batched kernel call.  The
+samples and applies the single-point test with analytic thresholds, its
+samples drawn into slots and scanned as :mod:`gsrdetect.power` describes.  The
 *online* study draws full streams, runs the multi-window detector with Monte
 Carlo calibrated thresholds and classifies each stream by whether any event
-was reported.  Both aggregate per-stream decisions into a
-:class:`PowerReport`.
+was reported.  Each study builds its two scenarios once, and each sample's own
+generator picks one and draws from it.  Both aggregate per-stream decisions
+into a :class:`PowerReport`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .calibration import (
 )
 from .detector import DetectionEvent, DetectorConfig, allocate_alphas, detect_stream
 from .distributions import derived_rng
-from .power import _STATIC_BATCH, _static_gsr
+from .power import _static_gsr, _static_slots
 from .ratios import StatKind
 
 __all__ = [
@@ -157,15 +158,16 @@ def _report_from_labels(labels: Sequence[str]) -> PowerReport:
     )
 
 
-def _change_magnitudes(change: str, dimension: int, mean_shift, variance_scale):
+def _scenarios(change, dimension, length, change_at, mean_shift, variance_scale):
+    """A study's two scenarios: without a change, and with ``change`` from ``change_at`` on."""
     if change not in ("none", "mean", "variance"):
         raise ValueError(f"change must be none|mean|variance, got {change!r}")
+    shift, scale = 0.0, 1.0
     if change == "mean":
         shift = float(mean_shift) if mean_shift is not None else dimension ** (-1.0 / 3.0)
-        return shift, 1.0
     if change == "variance":
-        return 0.0, float(variance_scale)
-    return 0.0, 1.0
+        scale = float(variance_scale)
+    return (Scenario(dimension, length, at, shift, scale) for at in (None, change_at))
 
 
 def run_static_power(
@@ -188,27 +190,22 @@ def run_static_power(
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    shift, var_scale = _change_magnitudes(change, dimension, mean_shift, variance_scale)
+    plain, changed = _scenarios(change, dimension, 2 * n, n + 1, mean_shift, variance_scale)
 
     alphas = allocate_alphas(alpha, [n])
     table = analytic_table([n], dimension, alphas)
     rho = [table.threshold(kind, n) for kind in StatKind]
 
-    labels, buffers = [], {}
-    for lo in range(0, samples, _STATIC_BATCH):
-        scenarios, windows = [], []
-        for i in range(lo, min(lo + _STATIC_BATCH, samples)):
+    slots, buffers = _static_slots(samples, n, dimension)
+    labels = []
+    for lo in range(0, samples, len(slots)):
+        scenarios = []
+        for j, i in enumerate(range(lo, min(lo + len(slots), samples))):
             rng = derived_rng(seed, i)
-            scenario = Scenario(
-                dimension=dimension,
-                length=2 * n,
-                change_at=n + 1 if rng.random() < 0.5 else None,
-                mean_shift=shift,
-                variance_scale=var_scale,
-            )
-            windows.append(scenario.sample(rng))
-            scenarios.append(scenario)
-        ratios = _static_gsr(np.stack(windows), buffers)
+            scenarios.append(changed if rng.random() < 0.5 else plain)
+            slots[j] = scenarios[-1].sample(rng)
+        # A short last batch scans the previous batch's windows too; zip drops them.
+        ratios = _static_gsr(slots, buffers)
         detected = np.logical_or.reduce([r >= x for r, x in zip(ratios, rho)])
         for scenario, hit in zip(scenarios, detected.tolist()):
             labels.append(_confusion_label(scenario.has_change, hit))
@@ -242,7 +239,9 @@ def run_online_power(
     if samples < 200:
         raise ValueError(f"need at least 200 samples, got {samples}")
     windows = tuple(sorted(windows))
-    shift, var_scale = _change_magnitudes(change, dimension, mean_shift, variance_scale)
+    plain, changed = _scenarios(
+        change, dimension, stream_length, change_position + 1, mean_shift, variance_scale
+    )
 
     if thresholds is None:
         thresholds = calibrate_monte_carlo(
@@ -261,16 +260,8 @@ def run_online_power(
     offsets = []
     for i in range(samples):
         rng = derived_rng(seed, 1, i)
-        with_change = bool(rng.random() < 0.5)
-        scenario = Scenario(
-            dimension=dimension,
-            length=stream_length,
-            change_at=change_position + 1 if with_change else None,
-            mean_shift=shift,
-            variance_scale=var_scale,
-        )
-        y = scenario.sample(rng)
-        events = detect_stream(y, config, thresholds)
+        scenario = changed if rng.random() < 0.5 else plain
+        events = detect_stream(scenario.sample(rng), config, thresholds)
         labels.append(classify_outcome(events, scenario))
         if events and scenario.has_change:
             offsets.append(abs(events[0].change_at - scenario.change_at))

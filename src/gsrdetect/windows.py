@@ -79,11 +79,16 @@ def _is_whole(n) -> bool:
     return real and (isinstance(n, numbers.Integral) or float(n).is_integer())
 
 
+def _whole_number(value, name: str, error=ValueError) -> int:
+    """``value`` as an int, when it is a whole number and not a boolean; ``name`` names it."""
+    if not _is_whole(value):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _half_length(n, error=ValueError) -> int:
     """``n`` as a window half-length: a whole number (not a boolean) of at least 2."""
-    if not _is_whole(n):
-        raise error(f"window half-length must be a whole number, got {n!r}")
-    if n < 2:
+    if _whole_number(n, "window half-length", error) < 2:
         raise error("window half-length must be at least 2")
     return int(n)
 
@@ -176,9 +181,9 @@ class ObservationWindow:
 
     def __init__(self, half_length: int, dim: int):
         self._n = _half_length(half_length)
-        if dim < 1:
+        self._d = _whole_number(dim, "dimension")
+        if self._d < 1:
             raise ValueError("dimension must be at least 1")
-        self._d = int(dim)
         self._obs = deque(maxlen=2 * self._n)  # copies of the observations
         # Set at warm-up by _reanchor, all oldest first: the anchor row, L.R of
         # the current window and the last n + 1 entries of the kernel's S1, S2

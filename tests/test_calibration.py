@@ -158,6 +158,16 @@ class TestMonteCarloCalibration:
         with pytest.raises(CalibrationError, match="whole number"):
             calibrate_monte_carlo(config)
 
+    def test_dimension_must_be_a_whole_number(self):
+        # 2.5 and True once ended in a bare TypeError, and so did 3.0
+        for dim in (2.5, True):
+            with pytest.raises(CalibrationError, match="^dimension must be a whole number"):
+                calibrate_monte_carlo(_config(dimension=dim))
+        with pytest.raises(CalibrationError, match="^dimension must be at least 1, got 0$"):
+            calibrate_monte_carlo(_config(dimension=0))
+        table = calibrate_monte_carlo(_config(dimension=3.0))
+        assert type(table.dimension) is int and table == calibrate_monte_carlo(_config(dimension=3))
+
 
 def _maxima_oracle(config):
     """Zone maxima from one scan per replication and window length."""

@@ -69,6 +69,20 @@ def test_config_rejects_fractional_and_boolean_windows(n):
         DetectorConfig(windows=(4, n))
 
 
+def test_dimension_must_be_a_whole_number():
+    # 2.5 once slid 2-vectors against thresholds of the F law at d = 2.5
+    config = DetectorConfig(windows=(5,))
+    for dim in (2.5, True):
+        with pytest.raises(ValueError, match="^dimension must be a whole number"):
+            Detector(config, dim)
+    with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
+        Detector(config, 0)
+    det = Detector(config, 3.0)
+    assert type(det.dimension) is int and type(det.thresholds.dimension) is int
+    y = _shifted_stream(t_len=40, d=3, change_at=21, shift=4.0)
+    assert [e for row in y for e in det.step(row)] == detect_stream(y, config)
+
+
 def test_config_stores_whole_float_windows_as_ints():
     config = DetectorConfig(windows=(5.0, np.int64(7)))
     assert config.windows == (5, 7) and all(type(n) is int for n in config.windows)

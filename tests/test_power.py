@@ -176,10 +176,20 @@ class TestEmpiricalPower:
             empirical_power(10, 2, 0.05, 1.0, replications=50)
 
     @pytest.mark.parametrize(
-        "n, d, shift, reps",
-        [(3, 1, 2.2, 120), (3, 4, 1.2, 120), (10, 1, 1.0, 120), (10, 4, 0.6, 600)],
+        "n, d, shift, reps, batch",
+        [
+            pytest.param(3, 1, 2.2, 120, None, id="3-1-2.2-120"),
+            pytest.param(3, 4, 1.2, 120, None, id="3-4-1.2-120"),
+            pytest.param(10, 1, 1.0, 120, None, id="10-1-1.0-120"),
+            pytest.param(10, 4, 0.6, 600, None, id="10-4-0.6-600"),
+            # Batches of one window, and of 7 with a short last batch (120 = 17 * 7 + 1).
+            pytest.param(3, 4, 1.2, 120, 1, id="3-4-1.2-120-batch1"),
+            pytest.param(3, 4, 1.2, 120, 7, id="3-4-1.2-120-batch7"),
+        ],
     )
-    def test_rate_matches_pairwise_oracle(self, n, d, shift, reps):
+    def test_rate_matches_pairwise_oracle(self, monkeypatch, n, d, shift, reps, batch):
+        if batch is not None:
+            monkeypatch.setattr(power_module, "_STATIC_BATCH", batch)
         alpha, seed = 0.05, 14
         rho = analytic_threshold_mu(n, d, alpha)
         # One draw of every replication equals the function's batched draws.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import naive_decomposition
 
+import gsrdetect.power as power_module
 from gsrdetect.calibration import analytic_table
 from gsrdetect.detector import DetectionEvent, allocate_alphas
 from gsrdetect.distributions import derived_rng
@@ -119,15 +120,23 @@ class TestStaticStudy:
             run_static_power(3, 10, "mean", samples=50)
 
     @pytest.mark.parametrize(
-        "d, n, change, shift, scale, samples",
+        "d, n, change, shift, scale, samples, batch",
         [
-            (1, 3, "mean", 2.2, 1.0, 120),
-            (4, 3, "variance", 0.0, 6.0, 120),
-            (1, 10, "variance", 0.0, 3.0, 120),
-            (4, 10, "mean", 0.6, 1.0, 600),  # more than one kernel batch
+            pytest.param(1, 3, "mean", 2.2, 1.0, 120, None, id="1-3-mean-2.2-1.0-120"),
+            pytest.param(4, 3, "variance", 0.0, 6.0, 120, None, id="4-3-variance-0.0-6.0-120"),
+            pytest.param(1, 10, "variance", 0.0, 3.0, 120, None, id="1-10-variance-0.0-3.0-120"),
+            # more than one kernel batch
+            pytest.param(4, 10, "mean", 0.6, 1.0, 600, None, id="4-10-mean-0.6-1.0-600"),
+            # Batches of one window, and of 7 with a short last batch (120 = 17 * 7 + 1).
+            pytest.param(4, 3, "variance", 0.0, 6.0, 120, 1, id="4-3-variance-0.0-6.0-120-batch1"),
+            pytest.param(4, 3, "variance", 0.0, 6.0, 120, 7, id="4-3-variance-0.0-6.0-120-batch7"),
         ],
     )
-    def test_counts_match_pairwise_oracle(self, d, n, change, shift, scale, samples):
+    def test_counts_match_pairwise_oracle(
+        self, monkeypatch, d, n, change, shift, scale, samples, batch
+    ):
+        if batch is not None:
+            monkeypatch.setattr(power_module, "_STATIC_BATCH", batch)
         alpha, seed = 0.05, 13
         table = analytic_table([n], d, allocate_alphas(alpha, [n]))
         rho = [table.threshold(kind, n) for kind in StatKind]

@@ -400,6 +400,17 @@ def test_whole_float_half_length_is_the_integer():
         assert np.array_equal(got, want)
 
 
+def test_dimension_must_be_a_whole_number():
+    # 2.5 once built a window of 2-vectors, and True one of 1-vectors
+    for dim in (2.5, True, np.True_):
+        with pytest.raises(ValueError, match="^dimension must be a whole number"):
+            ObservationWindow(5, dim)
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        ObservationWindow(5, 0)
+    win = ObservationWindow(5, 3.0)
+    assert win.dimension == 3 and type(win.dimension) is int
+
+
 def test_sliding_spanning_stats_constant_stream_is_exactly_zero():
     stream = np.full((2 * _BLOCK + 300, 4), 1.0 / 3.0)
     stats = sliding_spanning_stats(stream, 6)
