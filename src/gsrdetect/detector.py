@@ -26,12 +26,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import windows
 from .calibration import ThresholdTable, analytic_table
-from .ratios import GsrTriple, StatKind, compute_gsr, sliding_gsr
+from .ratios import GsrTriple, StatKind, _gsr_into, compute_gsr
 from .windows import (
     ObservationWindow,
-    SlidingStats,
-    _column,
     _half_length,
     _NonFiniteError,
     _whole_number,
@@ -198,7 +197,7 @@ def _quiet_gap(config: DetectorConfig) -> float:
     return 0
 
 
-def _build_events(ticks, ranks, windows, stats, rhos) -> list[DetectionEvent]:
+def _build_events(ticks, ranks, lengths, stats, rhos) -> list[DetectionEvent]:
     """Events from parallel lists: tick, family rank, window, statistic, threshold.
 
     Fills each instance's attribute dict directly, about 3x faster than the
@@ -207,7 +206,7 @@ def _build_events(ticks, ranks, windows, stats, rhos) -> list[DetectionEvent]:
     """
     kinds = list(EVENT_KIND.values())
     events = []
-    for c, r, w, x, t in zip(ticks, ranks, windows, stats, rhos):
+    for c, r, w, x, t in zip(ticks, ranks, lengths, stats, rhos):
         event = object.__new__(DetectionEvent)
         attrs = event.__dict__
         attrs["kind"] = kinds[r]
@@ -347,66 +346,82 @@ def detect_stream(
 
     Vectorised over time, with the same policy and the same arithmetic as
     feeding the stream through :meth:`Detector.step`, so both paths report
-    the same events, bit for bit.  One kernel call scans every window length;
-    the exceedances are flagged per (tick, family, window), which lists them
-    in that order, and events are built only for the ticks the policy keeps.
+    the same events, bit for bit.  One kernel call scans every window length.
+    The ratios are then taken in chunks of ``4 * windows._BLOCK`` window
+    positions, on one reused buffer: each family makes one division over every
+    window length, one comparison flags each (tick, family, window) against its
+    threshold, which lists the exceedances in that order, and events are built
+    only for the ticks the policy keeps, the quiet period carried from chunk to
+    chunk.  Under ``halt`` no chunk after the first reported tick is tested.
     """
     y = np.asarray(stream, dtype=float)
     if y.ndim != 2:
         raise ValueError("stream must be a (T, d) array")
     t_len, dimension = y.shape
-    windows = [n for n in sorted(config.windows) if t_len >= 2 * n]
+    lengths = [n for n in sorted(config.windows) if t_len >= 2 * n]
     # Every row lies in a warm window of the shortest length, so the scan
     # checks the whole stream for non-finite values.
     try:
-        stats = sliding_spanning_stats(y, windows) if windows else None
+        stats = sliding_spanning_stats(y, lengths) if lengths else None
     except _NonFiniteError:
         raise ValueError("stream contains non-finite values") from None
-    if not windows and not np.all(np.isfinite(y)):
+    if not lengths and not np.all(np.isfinite(y)):
         raise ValueError("stream contains non-finite values")
     table = _resolve_thresholds(config, dimension, thresholds)
-    if not windows:
+    if not lengths:
         return []
 
-    # One ratio column at a time; the flags' C order is (tick, family, window).
-    hits = np.zeros((len(stats.clocks), len(StatKind), len(windows)), dtype=bool)
-    for j, n in enumerate(windows):
-        column = _column(stats, j, n)
-        rows = hits[len(hits) - len(column.clocks) :]  # from n's first warm window on
-        for rank, (kind, stat) in enumerate(zip(StatKind, sliding_gsr(column))):
-            np.greater_equal(stat, table.threshold(kind, n), out=rows[:, rank, j])
-    # np.nonzero takes about 30x longer on a 3-D array than on the flat one.
-    row, rank, col = np.unravel_index(np.flatnonzero(hits), hits.shape)
-    clock = stats.clocks[row]
+    rhos = np.array([[table.threshold(kind, n) for n in lengths] for kind in StatKind])
+    # (window, position) distances, each window's positions contiguous.  A
+    # longer window's positions before its first warm one read NaN, so -inf.
+    w_left, w_right, w_full = (w.T for w in stats[1:])
+    # Shorter chunks add numpy calls per position.  Longer ones' buffers, on top
+    # of the kernel's output, made glibc hand the heap back and fault it in again
+    # on every call: on 20 000 x 8 with three windows, chunks of 16 * _BLOCK
+    # cost 755 page faults per call, and 4 * _BLOCK none.
+    positions, chunk = len(stats.clocks), 4 * windows._BLOCK
+    ratios = np.empty((*rhos.shape, min(chunk, positions)))
+    flags = np.empty((ratios.shape[-1], *rhos.shape), dtype=bool)
+    events, gap, quiet_until = [], _quiet_gap(config), 0
+    for lo in range(0, positions, chunk):
+        part = slice(lo, lo + chunk)
+        r = ratios[..., : positions - lo]  # a short last chunk takes the leading columns
+        _gsr_into(w_left[:, part], w_right[:, part], w_full[:, part], r)
+        # The flags' C order is (tick, family, window); np.nonzero takes about
+        # 30x longer on a 3-D array than on the flat one.
+        hit = np.greater_equal(r.transpose(2, 0, 1), rhos, out=flags[: r.shape[-1]])
+        row, rank, col = np.unravel_index(np.flatnonzero(hit), hit.shape)
+        clock = stats.clocks[lo + row]
+        if gap:
+            keep, quiet_until = _quiet_filter(clock, gap, quiet_until)
+            clock, row, rank, col = clock[keep], row[keep], rank[keep], col[keep]
+        events += _build_events(
+            clock.tolist(),
+            rank.tolist(),
+            np.array(lengths)[col].tolist(),
+            r[rank, col, row].tolist(),
+            rhos[rank, col].tolist(),
+        )
+        if quiet_until == math.inf:  # halted
+            break
+    return events
 
-    gap = _quiet_gap(config)
-    if gap:
-        keep = _quiet_filter(clock, gap)
-        clock, row, rank, col = clock[keep], row[keep], rank[keep], col[keep]
-    # The hits' statistics, by the same divisions as the columns' ratios.
-    hit = SlidingStats(clock, *(w[row, col] for w in stats[1:]))
-    rhos = np.array([[table.threshold(kind, n) for n in windows] for kind in StatKind])
-    return _build_events(
-        clock.tolist(),
-        rank.tolist(),
-        np.array(windows)[col].tolist(),
-        np.choose(rank, sliding_gsr(hit)).tolist(),
-        rhos[rank, col].tolist(),
-    )
 
+def _quiet_filter(clock: np.ndarray, gap: float, quiet_until: float):
+    """Mask of the sorted ticks ``clock`` that the quiet-period rule reports, and its new end.
 
-def _quiet_filter(clock: np.ndarray, gap: float) -> np.ndarray:
-    """Mask of the sorted ticks ``clock`` that the quiet-period rule reports.
-
-    A tick is kept, with every tick equal to it, when it lies more than
-    ``gap`` after the last kept tick; each pass jumps to the next kept tick.
+    ``quiet_until`` is the last tick of the quiet period so far, as
+    :meth:`Detector.step` keeps it.  A tick is kept, with every tick equal to
+    it, when it lies after the quiet period, and each kept tick starts a new
+    one of ``gap`` ticks; each pass jumps to the next kept tick.
     """
     ticks = clock.tolist()
     keep = np.zeros(len(ticks), dtype=bool)
-    i = 0
+    i = bisect_right(ticks, quiet_until)
     while i < len(ticks):
         tick = ticks[i]
         j = bisect_right(ticks, tick, i)
         keep[i:j] = True
-        i = bisect_right(ticks, tick + gap, j)
-    return keep
+        quiet_until = tick + gap
+        i = bisect_right(ticks, quiet_until, j)
+    return keep, quiet_until

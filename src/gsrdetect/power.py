@@ -29,7 +29,7 @@ import numpy as np
 from .calibration import analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 from .ratios import sliding_gsr
-from .windows import SlidingStats, _scan_buffers, _window_scan
+from .windows import SlidingStats, _half_length, _scan_buffers, _whole_number, _window_scan
 
 __all__ = [
     "PowerQuery",
@@ -175,6 +175,7 @@ def empirical_power(
         raise ValueError(f"need at least 100 replications, got {replications}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    n, d = _half_length(n), _whole_number(d, "dimension")
     delta = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
     rho = analytic_threshold_mu(n, d, alpha)
     rng = derived_rng(seed, 0x90E6)

@@ -84,15 +84,21 @@ def sliding_gsr(stats: SlidingStats) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Degenerate ratios read ``-inf`` so they never reach a threshold; every
     other value is the same division :func:`compute_gsr` makes, bit for bit.
     """
-    pairs = (
-        (stats.w_full, stats.w_left + stats.w_right),
-        (stats.w_right, stats.w_left),
-        (stats.w_left, stats.w_right),
-    )
-    return tuple(
-        np.divide(numer, denom, out=np.full(numer.shape, -np.inf), where=denom > 0.0)
-        for numer, denom in pairs
-    )
+    out = np.empty((len(StatKind), *stats.w_left.shape))
+    return tuple(_gsr_into(stats.w_left, stats.w_right, stats.w_full, out))
+
+
+def _gsr_into(w_left, w_right, w_full, out: np.ndarray) -> np.ndarray:
+    """Write the GSR triple of the windows with these distances into ``out``, and return it.
+
+    ``out`` has a leading axis of three, one row per :class:`StatKind` in order,
+    over the distances' shape.  These are :func:`sliding_gsr`'s divisions.
+    """
+    pairs = ((w_full, w_left + w_right), (w_right, w_left), (w_left, w_right))
+    out.fill(-np.inf)
+    for ratio, (numer, denom) in zip(out, pairs):
+        np.divide(numer, denom, out=ratio, where=denom > 0.0)
+    return out
 
 
 def _check_n_d(n: int, d: float) -> None:

@@ -30,6 +30,7 @@ from .detector import DetectionEvent, DetectorConfig, allocate_alphas, detect_st
 from .distributions import derived_rng
 from .power import _static_gsr, _static_slots
 from .ratios import StatKind
+from .windows import _half_length, _whole_number
 
 __all__ = [
     "Scenario",
@@ -58,6 +59,8 @@ class Scenario:
     variance_scale: float = 1.0
 
     def __post_init__(self):
+        # Whole floats become ints, as the draws' shapes need.
+        object.__setattr__(self, "dimension", _whole_number(self.dimension, "dimension"))
         if self.dimension < 1 or self.length < 1:
             raise ValueError("dimension and length must be positive")
         if self.change_at is not None and not (1 <= self.change_at <= self.length):
@@ -190,7 +193,9 @@ def run_static_power(
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
+    n = _half_length(n)
     plain, changed = _scenarios(change, dimension, 2 * n, n + 1, mean_shift, variance_scale)
+    dimension = plain.dimension
 
     alphas = allocate_alphas(alpha, [n])
     table = analytic_table([n], dimension, alphas)

@@ -15,7 +15,9 @@ a block every ``_BLOCK`` window positions and runs one prefix pass per block
 for all window lengths at once, into one output.  It serves a stream
 (``sliding_spanning_stats``, for one window length or several), a batch of
 Monte Carlo calibration sequences and a batch of static 2n-windows, each
-anchored on its own first row.
+anchored on its own first row.  A block with fewer window positions p than
+n forms only the half-windows those windows span, [0, p) and [n, n + p): two
+for a static window rather than n + 1.
 ``spanning_distance`` is one half-window.  ``ObservationWindow`` keeps the batch
 path's sums at O(d) per observation and equals it bit for bit.  The rounding
 error grows with the data's spread between a window and its anchor, not with
@@ -141,7 +143,7 @@ def spanning_distance(observations) -> float:
     m = mat.shape[0]
     if m < 2:
         raise ValueError("spanning distance needs at least 2 observations")
-    _, _, seg, _ = _half_windows(*_anchored_block(mat), m)
+    seg = _half_windows(*_anchored_block(mat), m)[2]
     return max(float(seg[0]), 0.0)
 
 
@@ -249,7 +251,7 @@ class ObservationWindow:
         n = self._n
         rows = np.array(self._obs)
         s1, s2 = _anchored_block(rows)
-        half, half_sq, seg, cross = _half_windows(s1, s2, n)
+        half, half_sq, seg, cross, _ = _half_windows(s1, s2, n)
         self._anchor, self._cross = rows[0], float(cross[0])
         self._pre, self._pre_sq = deque(s1[n:], n + 1), deque(s2[n:].tolist(), n + 1)
         self._half, self._half_sq = deque(half, n + 1), deque(half_sq.tolist(), n + 1)
@@ -367,24 +369,40 @@ def _anchored_block(block: np.ndarray, s1=None, s2=None):
     return s1[: m + 1], s2[: m + 1]
 
 
-def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None):
+def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None, spanned_only=False):
     """Sums of the half-windows of n rows, from :func:`_anchored_block`'s m + 1 rows of sums.
 
     For each half-window r: ``D[r] = S1[r + n] - S1[r]``, ``|D[r]|^2`` and its
     spanning distance before clamping, ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``;
-    and ``D[r].D[r + n]`` for each window.  The buffer ``sums`` (zeroed when
-    omitted) holds at least m + 2 - n rows with ``sums[m + 1 - n]`` finite: a
-    spare row, whatever it holds, as every einsum must reduce two rows or more
-    (it splits a lone row longer than its buffer differently).
+    and ``D[r].D[r + n]`` for each of the p = m + 1 - 2n windows.  With
+    ``spanned_only``, when p < n only the half-windows that some window spans
+    are formed: the left halves [0, p) and the right halves [n, n + p), one
+    after the other.  Returns D, |D|^2 and seg of the half-windows formed, the
+    cross products, and the slices of the formed rows that hold the windows'
+    left and right halves.  The buffer ``sums`` (zeroed when omitted) holds at
+    least m + 2 - n rows, with the row after the formed ones finite: a spare
+    row, whatever it holds, as every einsum must reduce two rows or more (it
+    splits a lone row longer than its buffer differently).
     """
-    k = s1.shape[0] - n
+    k = s1.shape[0] - n  # half-windows
+    p = k - n  # windows
+    starts, rows = ((0, n), p) if spanned_only and 0 < p < n else ((0,), k)
+    formed = len(starts) * rows
     if sums is None:
         sums = np.zeros((k + 1, *s1.shape[1:]))
-    dn = np.subtract(s1[n:], s1[:k], out=sums[:k])
-    dn_sq = np.einsum("...j,...j->...", sums[: k + 1], sums[: k + 1])[:k]
-    pairs = max(k - n, 2) if k > n else 0  # a block of one half-window has no pair
-    cross = np.einsum("...j,...j->...", sums[:pairs], sums[n : n + pairs])
-    return dn, dn_sq, (s2[n:] - s2[:k]) * n - dn_sq, cross[: k - n]
+    seg = np.empty((formed, *s2.shape[1:]))
+    for i, r in enumerate(starts):
+        at = slice(i * rows, (i + 1) * rows)
+        np.subtract(s1[r + n : r + n + rows], s1[r : r + rows], out=sums[at])
+        np.subtract(s2[r + n : r + n + rows], s2[r : r + rows], out=seg[at])
+    dn = sums[:formed]
+    dn_sq = np.einsum("...j,...j->...", sums[: formed + 1], sums[: formed + 1])[:formed]
+    seg *= n
+    seg -= dn_sq
+    right = formed - p  # the first right half
+    pairs = max(p, 2) if p > 0 else 0  # a block of one half-window has no pair
+    cross = np.einsum("...j,...j->...", sums[:pairs], sums[right : right + pairs])
+    return dn, dn_sq, seg, cross[:p], (slice(0, p), slice(right, formed))
 
 
 def _scan_buffers(shape, lengths):
@@ -410,7 +428,8 @@ def _window_scan(y: np.ndarray, lengths, buffers=None) -> SlidingStats:
     writes straight into its column of the output.  The window whose halves are
     ``L = D[j]`` and ``R = D[j + n]`` has ``w_left = seg[j]``,
     ``w_right = seg[j + n]`` and ``w_full = (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right)``,
-    each clamped at zero.  Temporaries are O(_BLOCK d) per stream on top of the
+    each clamped at zero; a block of fewer than n windows forms only these
+    halves.  Temporaries are O(_BLOCK d) per stream on top of the
     outputs; a caller scanning many batches of one shape passes the same
     ``buffers`` from :func:`_scan_buffers` each time, rather than allocating
     them per call.
@@ -430,15 +449,17 @@ def _window_scan(y: np.ndarray, lengths, buffers=None) -> SlidingStats:
                 m_n = min(m, _BLOCK + 2 * n - 1)
                 if m_n < 2 * n:  # every window of this n is done
                     continue
-                _, dn_sq, seg, cross = _half_windows(s1[: m_n + 1], s2[: m_n + 1], n, sums)
+                _, dn_sq, seg, cross, (left, right) = _half_windows(
+                    s1[: m_n + 1], s2[: m_n + 1], n, sums, spanned_only=True
+                )
                 row = lo + 2 * n - first
                 w = out[:, j, row : row + m_n + 1 - 2 * n]
-                w_full = np.add(seg[:-n], seg[n:], out=w[2])
+                w_full = np.add(seg[left], seg[right], out=w[2])
                 w_full *= 2.0
-                w_full += cross * -2.0 + dn_sq[:-n] + dn_sq[n:]
+                w_full += cross * -2.0 + dn_sq[left] + dn_sq[right]
                 np.maximum(w_full, 0.0, out=w_full)  # the true distances are nonnegative
-                np.maximum(seg[:-n], 0.0, out=w[0])
-                np.maximum(seg[n:], 0.0, out=w[1])
+                np.maximum(seg[left], 0.0, out=w[0])
+                np.maximum(seg[right], 0.0, out=w[1])
     return SlidingStats(np.arange(first, t_len + 1), *np.moveaxis(out, 1, -1))
 
 

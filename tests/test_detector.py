@@ -1,12 +1,16 @@
 """Alpha allocation, the online detector, policies, and the batch path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gsrdetect.windows as windows_module
 from gsrdetect.calibration import (
     CalibrationConfig,
+    ThresholdEntry,
+    ThresholdTable,
     analytic_table,
     calibrate_monte_carlo,
     calibration_maxima,
@@ -21,8 +25,8 @@ from gsrdetect.detector import (
     events_to_jsonl,
 )
 from gsrdetect.distributions import derived_rng
-from gsrdetect.ratios import StatKind
-from gsrdetect.windows import _BLOCK
+from gsrdetect.ratios import StatKind, sliding_gsr
+from gsrdetect.windows import _BLOCK, sliding_spanning_stats
 
 
 class TestAllocateAlphas:
@@ -445,6 +449,90 @@ class TestDetectStreamBlocks:
         y[-1, 0] = np.inf
         with pytest.raises(ValueError, match="^stream contains non-finite values$"):
             detect_stream(y, DetectorConfig(windows=(5,)), table)
+
+
+class TestDetectStreamChunks:
+    """Streams several ratio chunks long: ``_BLOCK`` is 16, so a chunk is 64 window positions."""
+
+    WINDOWS = (5, 8, 12)
+    EDGES = (74, 138)  # the first clocks of the second and third chunks
+
+    @pytest.fixture(autouse=True)
+    def _short_blocks(self, monkeypatch):
+        monkeypatch.setattr(windows_module, "_BLOCK", 16)
+
+    @staticmethod
+    def _both_paths(y, config, table=None):
+        det = Detector(config, y.shape[1], table)
+        stepped = [e for row in y for e in det.step(row)]
+        assert stepped == detect_stream(y, config, table)
+        return stepped
+
+    def _flagged_ticks(self, y, table=None, alpha_total=0.01):
+        config = DetectorConfig(self.WINDOWS, alpha_total=alpha_total, policy="continue")
+        return sorted({e.detected_at for e in self._both_paths(y, config, table)})
+
+    def test_quiet_period_crosses_a_chunk_edge(self):
+        y = derived_rng(21).standard_normal((600, 2))
+        y[62:] += 3.0
+        y[300:] *= 3.0
+        flagged = self._flagged_ticks(y)
+        config = DetectorConfig(self.WINDOWS, alpha_total=0.01, policy="cooldown", cooldown=20)
+        kept = [e.detected_at for e in self._both_paths(y, config)]
+        # A tick kept before the edge hides flags after it, which a fresh chunk would report.
+        last = max(t for t in kept if t < self.EDGES[0])
+        hidden = [t for t in flagged if self.EDGES[0] <= t <= last + 20]
+        assert hidden and not set(hidden) & set(kept)
+        assert any(t > self.EDGES[1] for t in kept)
+
+    def test_halt_in_the_second_chunk_with_flags_after(self):
+        y = derived_rng(22).standard_normal((600, 2))
+        y[100:] += 3.0
+        y[300:] -= 3.0
+        flagged = self._flagged_ticks(y, alpha_total=0.001)
+        config = DetectorConfig(self.WINDOWS, alpha_total=0.001, policy="halt")
+        events = self._both_paths(y, config)
+        assert events and {e.detected_at for e in events} == {flagged[0]}
+        assert self.EDGES[0] <= flagged[0] < self.EDGES[1] < flagged[-1]
+
+    @pytest.mark.parametrize("policy", ["halt", "cooldown", "continue"])
+    def test_thresholds_tied_to_observed_ratios(self, policy):
+        y = derived_rng(23).standard_normal((600, 2))
+        entries = []
+        for n in self.WINDOWS:
+            for kind, r in zip(StatKind, sliding_gsr(sliding_spanning_stats(y, n))):
+                # the sixth largest ratio: five more exceed it, the sixth ties it
+                entries.append(ThresholdEntry(kind, n, 0.05, float(np.sort(r)[-6]), "monte_carlo"))
+        table = ThresholdTable(dimension=2, entries=tuple(entries))
+        flagged = self._flagged_ticks(y, table)
+        assert flagged[0] < self.EDGES[0] and flagged[-1] >= self.EDGES[1]
+        config = DetectorConfig(self.WINDOWS, policy=policy, cooldown=40)
+        events = self._both_paths(y, config, table)
+        if policy == "continue":
+            assert {e.statistic for e in events} >= {entry.rho for entry in entries}
+
+
+def test_memory_beyond_kernel_output_does_not_grow_with_stream_length():
+    # Thresholds that never fire: every chunk is tested, and no event is built.
+    lengths = (20, 35, 50)
+    table = ThresholdTable(
+        dimension=2,
+        entries=tuple(ThresholdEntry(k, n, 0.02, 1e9, "monte_carlo") for k in StatKind for n in lengths),
+    )
+    config = DetectorConfig(lengths, policy="continue")
+    extra = []
+    for t_len in (40_000, 160_000):
+        y = derived_rng(3).standard_normal((t_len, 2))
+        tracemalloc.start()
+        try:
+            assert detect_stream(y, config, table) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        positions = t_len - 2 * min(lengths) + 1
+        # The kernel's output: three distances per (position, window) and the clocks.
+        extra.append(peak - (3 * len(lengths) + 1) * positions * 8)
+    assert extra[1] - extra[0] < 1_000_000
 
 
 class TestEventSerialization:

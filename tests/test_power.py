@@ -175,6 +175,16 @@ class TestEmpiricalPower:
         with pytest.raises(ValueError):
             empirical_power(10, 2, 0.05, 1.0, replications=50)
 
+    def test_window_and_dimension_must_be_whole_numbers(self):
+        # each of these once reached numpy's draw as a bare TypeError
+        for d in (2.5, True):
+            with pytest.raises(ValueError, match="^dimension must be a whole number"):
+                empirical_power(5, d, 0.05, 1.0)
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="^window half-length must be a whole number"):
+                empirical_power(n, 5, 0.05, 1.0)
+        assert empirical_power(5.0, 3.0, 0.05, 1.0) == empirical_power(5, 3, 0.05, 1.0)
+
     @pytest.mark.parametrize(
         "n, d, shift, reps, batch",
         [

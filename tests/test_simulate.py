@@ -50,6 +50,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(dimension=1, length=10, change_at=11)
 
+    def test_dimension_must_be_a_whole_number(self):
+        # 2.5 once reached numpy's draw as a bare TypeError
+        for dim in (2.5, True):
+            with pytest.raises(ValueError, match="^dimension must be a whole number"):
+                Scenario(dimension=dim, length=10)
+        sc = Scenario(dimension=3.0, length=10)
+        assert type(sc.dimension) is int and sc.sample(derived_rng(0)).shape == (10, 3)
+
 
 class TestClassifyOutcome:
     def test_four_quadrants(self):
@@ -118,6 +126,14 @@ class TestStaticStudy:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError):
             run_static_power(3, 10, "mean", samples=50)
+
+    def test_window_and_dimension_must_be_whole_numbers(self):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="^dimension must be a whole number"):
+                run_static_power(bad, 5, "mean")
+            with pytest.raises(ValueError, match="^window half-length must be a whole number"):
+                run_static_power(5, bad, "mean")
+        assert run_static_power(3.0, 5.0, "mean", seed=2) == run_static_power(3, 5, "mean", seed=2)
 
     @pytest.mark.parametrize(
         "d, n, change, shift, scale, samples, batch",
