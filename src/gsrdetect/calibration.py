@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
-from .ratios import StatKind, sliding_gsr
+from .ratios import StatKind, _gsr_into
 from . import windows
 
 __all__ = [
@@ -107,8 +107,9 @@ class CalibrationConfig:
         # Whole floats become ints, as the batch shapes need; validate() rejects the rest.
         if all(map(windows._is_whole, self.window_lengths)):
             object.__setattr__(self, "window_lengths", tuple(map(int, self.window_lengths)))
-        if windows._is_whole(self.dimension):
-            object.__setattr__(self, "dimension", int(self.dimension))
+        for name in ("dimension", "zone_length", "replications"):
+            if windows._is_whole(getattr(self, name)):
+                object.__setattr__(self, name, int(getattr(self, name)))
 
     def resolved_zone_length(self) -> int:
         return self.zone_length if self.zone_length is not None else 6 * max(self.window_lengths)
@@ -122,10 +123,10 @@ class CalibrationConfig:
             raise CalibrationError("duplicate window lengths")
         if windows._whole_number(self.dimension, "dimension", CalibrationError) < 1:
             raise CalibrationError(f"dimension must be at least 1, got {self.dimension}")
-        if self.replications < 1:
+        if windows._whole_number(self.replications, "replications", CalibrationError) < 1:
             raise CalibrationError("need at least one replication")
         n_max = max(self.window_lengths)
-        zone = self.resolved_zone_length()
+        zone = windows._whole_number(self.resolved_zone_length(), "zone_length", CalibrationError)
         if zone < 2 * n_max:
             raise CalibrationError(
                 f"zone length {zone} shorter than the largest window 2x{n_max}"
@@ -258,6 +259,32 @@ def _entry_order(window_lengths: Iterable[int]):
             yield kind, n
 
 
+def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, draw):
+    """The replication loop of calibration and the static studies, one batch at a time.
+
+    One array of ``min(batch, count)`` contiguous (rows, dim) slots, one set of
+    block buffers and one ratio buffer serve every batch.  ``draw(lo, slots)``
+    fills the given leading slots with replications lo, lo + 1, ...; the kernel
+    scans the whole array.  Yields each batch's (family, replication, length)
+    zone maxima, each equal to a scan of its sequence alone, bit for bit.  A
+    short last batch's stale tail, the previous batch's sequences, is dropped.
+    """
+    slots = np.empty((min(batch, count), rows, dim))
+    ys = slots.swapaxes(0, 1)  # rows first, as the kernel takes
+    buffers = windows._scan_buffers(ys.shape, lengths)
+    ratios = np.empty((len(StatKind), rows - 2 * min(lengths) + 1, len(slots)))
+    for lo in range(0, count, len(slots)):
+        live = min(len(slots), count - lo)
+        draw(lo, slots[:live])
+        stats = windows._window_scan(ys, lengths, buffers)
+        maxima = np.empty((len(StatKind), live, len(lengths)))
+        for j, n in enumerate(lengths):
+            col = windows._column(stats, j, n)
+            r = _gsr_into(col.w_left, col.w_right, col.w_full, ratios[:, : len(col.clocks)])
+            maxima[:, :, j] = r.max(axis=1)[:, :live]
+        yield maxima
+
+
 def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], np.ndarray]:
     """Per-replication zone maxima of every statistic, keyed by (kind, n).
 
@@ -266,35 +293,24 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
     computed from the same maxima.  Replication k draws its Gaussian sequence
     from the generator derived from (seed, k), so the result is independent of
     replication order and reproducible run to run.  Replications are scanned
-    in batches of about one kernel block of rows, every window length on one
-    prefix pass per block; each maximum equals a scan of its sequence alone,
-    bit for bit.  Each replication is drawn, scaled and shifted in place in a
-    contiguous slot of one replication-first array, which the kernel reads
-    through a rows-first view.
+    in batches of about one kernel block of rows by :func:`_replication_maxima`,
+    each drawn, scaled and shifted in place in its slot.
     """
     config.validate()
     lengths = tuple(sorted(config.window_lengths))
-    n_zone, dim = config.resolved_zone_length(), config.dimension
-    k_reps = config.replications
-    maxima = {key: np.empty(k_reps) for key in _entry_order(lengths)}
+    n_zone, k_reps = config.resolved_zone_length(), config.replications
 
-    batch = max(1, windows._BLOCK // n_zone)
-    draws = np.empty((min(batch, k_reps), n_zone, dim))  # one contiguous slot per replication
-    ys = draws.swapaxes(0, 1)  # rows first, as the kernel takes
-    buffers = windows._scan_buffers(ys.shape, lengths)
-    for lo in range(0, k_reps, batch):
-        reps = range(lo, min(lo + batch, k_reps))
-        for j, k in enumerate(reps):
+    def draw(lo, slots):
+        for k, slot in enumerate(slots, lo):
             # base_mean + base_scale * z, bit for bit, without temporaries
-            z = derived_rng(config.seed, k).standard_normal(out=draws[j])
+            z = derived_rng(config.seed, k).standard_normal(out=slot)
             z *= config.base_scale
             z += config.base_mean
-        # A short last batch scans the previous batch's sequences too, and drops them.
-        stats = windows._window_scan(ys, lengths, buffers)
-        for j, n in enumerate(lengths):
-            for kind, r in zip(StatKind, sliding_gsr(windows._column(stats, j, n))):
-                maxima[(kind, n)][lo : lo + len(reps)] = r.max(axis=0)[: len(reps)]
-    return maxima
+
+    batch = max(1, windows._BLOCK // n_zone)
+    batches = _replication_maxima(k_reps, n_zone, config.dimension, lengths, batch, draw)
+    maxima = np.concatenate(list(batches), axis=1).transpose(0, 2, 1)  # (kind, n, k)
+    return dict(zip(_entry_order(lengths), maxima.reshape(-1, k_reps)))
 
 
 def calibrate_monte_carlo(config: CalibrationConfig) -> ThresholdTable:

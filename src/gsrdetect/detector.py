@@ -174,8 +174,10 @@ class DetectorConfig:
             raise ValueError("duplicate window lengths")
         if self.policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
-        if self.cooldown is not None and self.cooldown < 1:
-            raise ValueError("cooldown must be a positive number of steps")
+        if self.cooldown is not None:
+            object.__setattr__(self, "cooldown", _whole_number(self.cooldown, "cooldown"))
+            if self.cooldown < 1:
+                raise ValueError("cooldown must be a positive number of steps")
         if self.alphas is None and not (0.0 < self.alpha_total < 1.0):
             raise ValueError(f"alpha_total must be in (0, 1), got {self.alpha_total}")
 

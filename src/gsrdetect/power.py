@@ -7,10 +7,10 @@ threshold for the one-sided variance tests.  ``minimum_radius`` is the
 complementary lower bound: below a separation of theta(alpha, beta) *
 sqrt(n d) * sigma^2 no level-alpha test can reach power 1 - beta.
 
-``empirical_power`` and the static study in :mod:`gsrdetect.simulate` draw each
-batch of windows into the leading slots of one slot array per call and scan the
-whole array on block buffers allocated once, each window anchored on its own
-first row; a short last batch rescans the previous batch's tail and drops it.
+``empirical_power`` and the static study in :mod:`gsrdetect.simulate` run the
+replication loop of Monte Carlo calibration (``calibration._replication_maxima``)
+on ``_STATIC_BATCH`` 2n-windows at a time, each anchored on its own first row;
+each keeps only its draw and its reduction of the ratios.
 
 Separations are expressed as noncentralities of the scaled chi-square laws of
 the spanning distances.  For a pure mean shift of delta aligned with the
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import analytic_threshold_mu
+from .calibration import _replication_maxima, analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
-from .ratios import sliding_gsr
-from .windows import SlidingStats, _half_length, _scan_buffers, _whole_number, _window_scan
+from .windows import _half_length, _whole_number
 
 __all__ = [
     "PowerQuery",
@@ -171,41 +170,21 @@ def empirical_power(
     ``shift`` and tests the mean ratio against its analytic critical value at
     level ``alpha``.
     """
+    replications = _whole_number(replications, "replications")
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     n, d = _half_length(n), _whole_number(d, "dimension")
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     delta = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
     rho = analytic_threshold_mu(n, d, alpha)
     rng = derived_rng(seed, 0x90E6)
-    slots, buffers = _static_slots(replications, n, d)
-    hits = 0
-    for lo in range(0, replications, len(slots)):
-        y = rng.standard_normal(out=slots[: replications - lo])  # the leading slots
+    def draw(lo, slots):
+        y = rng.standard_normal(out=slots)
         y *= sigma
         y[:, n:, :] += delta
-        # A short last batch scans the previous batch's windows too, and drops them.
-        r_mu = _static_gsr(slots, buffers)[0][: len(y)]
-        hits += int(np.count_nonzero(r_mu >= rho))
-    return hits / replications
 
-
-def _static_slots(count: int, n: int, d: int):
-    """Slots for one batch of a study's ``count`` 2n-windows, and the block buffers that scan them."""
-    slots = np.empty((min(_STATIC_BATCH, count), 2 * n, d))  # one contiguous slot per window
-    return slots, _scan_buffers(slots.swapaxes(0, 1).shape, (n,))
-
-
-def _static_gsr(
-    samples: np.ndarray, buffers: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GSR triple of each window in a (B, 2n, d) batch of independent windows.
-
-    Each window is anchored on its own first row, as ``sliding_spanning_stats(window, n)`` is.
-    A study scanning many batches passes every call the same ``buffers`` from
-    :func:`_static_slots`.
-    """
-    b, m, _ = samples.shape
-    stats = _window_scan(samples.swapaxes(0, 1), (m // 2,), buffers)  # one position per window
-    return sliding_gsr(SlidingStats(np.full(b, m), *(w[0, :, 0] for w in stats[1:])))
+    batches = _replication_maxima(replications, 2 * n, d, (n,), _STATIC_BATCH, draw)
+    return sum(int(np.count_nonzero(r[0] >= rho)) for r in batches) / replications

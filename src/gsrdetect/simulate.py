@@ -2,8 +2,8 @@
 
 Two study designs are provided.  The *static* study draws samples of exactly
 one window (2n observations) with a change at the midpoint in half of the
-samples and applies the single-point test with analytic thresholds, its
-samples drawn into slots and scanned as :mod:`gsrdetect.power` describes.  The
+samples and applies the single-point test with analytic thresholds, on
+calibration's replication loop as :mod:`gsrdetect.power` describes.  The
 *online* study draws full streams, runs the multi-window detector with Monte
 Carlo calibrated thresholds and classifies each stream by whether any event
 was reported.  Each study builds its two scenarios once, and each sample's own
@@ -20,15 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import power
 from .calibration import (
     CalibrationConfig,
     ThresholdTable,
+    _replication_maxima,
     analytic_table,
     calibrate_monte_carlo,
 )
 from .detector import DetectionEvent, DetectorConfig, allocate_alphas, detect_stream
 from .distributions import derived_rng
-from .power import _static_gsr, _static_slots
 from .ratios import StatKind
 from .windows import _half_length, _whole_number
 
@@ -59,8 +60,10 @@ class Scenario:
     variance_scale: float = 1.0
 
     def __post_init__(self):
-        # Whole floats become ints, as the draws' shapes need.
-        object.__setattr__(self, "dimension", _whole_number(self.dimension, "dimension"))
+        # Whole floats become ints, as the draws' shapes and slices need.
+        optional = () if self.change_at is None else ("change_at",)
+        for name in ("dimension", "length", *optional):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         if self.dimension < 1 or self.length < 1:
             raise ValueError("dimension and length must be positive")
         if self.change_at is not None and not (1 <= self.change_at <= self.length):
@@ -191,30 +194,27 @@ def run_static_power(
     families.  ``mean_shift=None`` defaults to the dimension-adapted shift
     d^(-1/3) per coordinate.
     """
+    samples = _whole_number(samples, "samples")
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     n = _half_length(n)
     plain, changed = _scenarios(change, dimension, 2 * n, n + 1, mean_shift, variance_scale)
     dimension = plain.dimension
 
-    alphas = allocate_alphas(alpha, [n])
-    table = analytic_table([n], dimension, alphas)
-    rho = [table.threshold(kind, n) for kind in StatKind]
+    table = analytic_table([n], dimension, allocate_alphas(alpha, [n]))
+    rho = np.array([[table.threshold(kind, n)] for kind in StatKind])
 
-    slots, buffers = _static_slots(samples, n, dimension)
-    labels = []
-    for lo in range(0, samples, len(slots)):
-        scenarios = []
-        for j, i in enumerate(range(lo, min(lo + len(slots), samples))):
+    changes = []  # whether each sample carries a change
+    def draw(lo, slots):
+        for i, slot in enumerate(slots, lo):
             rng = derived_rng(seed, i)
-            scenarios.append(changed if rng.random() < 0.5 else plain)
-            slots[j] = scenarios[-1].sample(rng)
-        # A short last batch scans the previous batch's windows too; zip drops them.
-        ratios = _static_gsr(slots, buffers)
-        detected = np.logical_or.reduce([r >= x for r, x in zip(ratios, rho)])
-        for scenario, hit in zip(scenarios, detected.tolist()):
-            labels.append(_confusion_label(scenario.has_change, hit))
-    return _report_from_labels(labels)
+            scenario = changed if rng.random() < 0.5 else plain
+            slot[...] = scenario.sample(rng)
+            changes.append(scenario.has_change)
+
+    batches = _replication_maxima(samples, 2 * n, dimension, (n,), power._STATIC_BATCH, draw)
+    detected = np.concatenate([np.any(r[..., 0] >= rho, axis=0) for r in batches])
+    return _report_from_labels(list(map(_confusion_label, changes, detected.tolist())))
 
 
 def run_online_power(
@@ -241,9 +241,12 @@ def run_online_power(
     ``alpha_total``.  With ``return_localization=True`` also returns the
     array of |reported change time - true change time| over detected changes.
     """
+    samples = _whole_number(samples, "samples")
     if samples < 200:
         raise ValueError(f"need at least 200 samples, got {samples}")
     windows = tuple(sorted(windows))
+    stream_length = _whole_number(stream_length, "stream_length")
+    change_position = _whole_number(change_position, "change_position")
     plain, changed = _scenarios(
         change, dimension, stream_length, change_position + 1, mean_shift, variance_scale
     )

@@ -146,6 +146,16 @@ class TestMonteCarloCalibration:
         with pytest.raises(CalibrationError, match="missing alpha"):
             calibrate_monte_carlo(_config(alphas={(StatKind.MU, 4): 0.05}))
 
+    def test_replications_and_zone_length_must_be_whole_numbers(self):
+        # 200.5 and 30.5 once ended in bare TypeErrors from numpy
+        for field, bad in (("replications", 200.5), ("zone_length", 30.5)):
+            for value in (bad, True):
+                with pytest.raises(CalibrationError, match=f"^{field} must be a whole number"):
+                    calibrate_monte_carlo(_config(**{field: value}))
+        config = _config(replications=400.0, zone_length=16.0)
+        assert type(config.replications) is int and type(config.zone_length) is int
+        assert calibrate_monte_carlo(config) == calibrate_monte_carlo(_config())
+
     def test_whole_float_window_lengths_are_ints(self):
         config = _config(window_lengths=(4.0,))
         assert config.window_lengths == (4,) and type(config.window_lengths[0]) is int

@@ -87,6 +87,22 @@ def test_dimension_must_be_a_whole_number():
     assert [e for row in y for e in det.step(row)] == detect_stream(y, config)
 
 
+def test_cooldown_must_be_a_whole_number():
+    # 2.5 once acted as 2 on both paths and was stored as 2.5
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="^cooldown must be a whole number"):
+            DetectorConfig(windows=(5,), policy="cooldown", cooldown=bad)
+    config = DetectorConfig(windows=(5,), alpha_total=0.2, policy="cooldown", cooldown=11.0)
+    assert type(config.cooldown) is int
+    y = _shifted_stream(t_len=200, d=3, change_at=101, shift=3.0)
+    events = detect_stream(y, config)
+    assert len(events) > 1
+    ints = DetectorConfig(windows=(5,), alpha_total=0.2, policy="cooldown", cooldown=11)
+    assert events == detect_stream(y, ints)
+    det = Detector(config, 3)
+    assert events == [e for row in y for e in det.step(row)]
+
+
 def test_config_stores_whole_float_windows_as_ints():
     config = DetectorConfig(windows=(5.0, np.int64(7)))
     assert config.windows == (5, 7) and all(type(n) is int for n in config.windows)

@@ -7,7 +7,8 @@ import pytest
 from oracles import naive_decomposition
 
 import gsrdetect.power as power_module
-from gsrdetect.calibration import analytic_threshold_mu
+import gsrdetect.windows as windows_module
+from gsrdetect.calibration import _replication_maxima, analytic_threshold_mu
 from gsrdetect.distributions import FisherParams, derived_rng, fisher_upper_quantile
 from gsrdetect.power import (
     PowerQuery,
@@ -185,6 +186,18 @@ class TestEmpiricalPower:
                 empirical_power(n, 5, 0.05, 1.0)
         assert empirical_power(5.0, 3.0, 0.05, 1.0) == empirical_power(5, 3, 0.05, 1.0)
 
+    def test_dimension_at_least_one_and_whole_replication_count(self):
+        # d = 0 once raised the F law's "df_num must be positive", and 100.5
+        # replications a bare TypeError from numpy
+        with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
+            empirical_power(5, 0, 0.05, 1.0)
+        for reps in (100.5, True):
+            with pytest.raises(ValueError, match="^replications must be a whole number"):
+                empirical_power(5, 2, 0.05, 1.0, replications=reps)
+        assert empirical_power(5, 2, 0.05, 1.0, replications=100.0) == empirical_power(
+            5, 2, 0.05, 1.0, replications=100
+        )
+
     @pytest.mark.parametrize(
         "n, d, shift, reps, batch",
         [
@@ -221,12 +234,23 @@ def test_static_windows_equal_stream_and_step_paths_bit_for_bit(monkeypatch, n, 
     count = 64 if d <= 100 else 6  # fewer of the rows longer than numpy's iterator buffer
     windows = np.random.default_rng(10 * d + n).normal(size=(count, 2 * n, d)) * 3.0 + 7.0
     windows[:, n:] += 0.5
-    seen = []  # the statistics the static path hands to sliding_gsr
-    monkeypatch.setattr(power_module, "sliding_gsr", lambda s: seen.append(s) or sliding_gsr(s))
-    ratios = [power_module._static_gsr(batch) for batch in np.array_split(windows, 3)]
-    assert len(seen) == 3
-    got = SlidingStats(*map(np.concatenate, zip(*seen)))
-    got_ratios = np.concatenate(ratios, axis=1)
+    seen, live = [], []  # the statistics of each batch's scan, and its windows drawn
+    scan = windows_module._window_scan
+    monkeypatch.setattr(windows_module, "_window_scan", lambda *a: seen.append(scan(*a)) or seen[-1])
+
+    def draw(lo, slots):
+        slots[...] = windows[lo : lo + len(slots)]
+        live.append(len(slots))
+
+    # Three batches, the static studies' loop; 64 windows leave a short last one.
+    ratios = list(_replication_maxima(count, 2 * n, d, (n,), -(-count // 3), draw))
+    assert len(seen) == 3 and all(len(stats.clocks) == 1 for stats in seen)
+    # Each batch's one position per window, without a short last batch's stale tail.
+    batches = [
+        SlidingStats(s.clocks.repeat(k), *(w[0, :k, 0] for w in s[1:])) for s, k in zip(seen, live)
+    ]
+    got = SlidingStats(*map(np.concatenate, zip(*batches)))
+    got_ratios = np.concatenate(ratios, axis=1)[..., 0]  # the maximum over one position
     for j, window in enumerate(windows):
         stream = sliding_spanning_stats(window, n)
         step = ObservationWindow.from_observations(window).decompose()

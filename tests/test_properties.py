@@ -17,6 +17,7 @@ from gsrdetect.calibration import (
     CalibrationConfig,
     ThresholdEntry,
     ThresholdTable,
+    _replication_maxima,
     calibration_maxima,
 )
 from gsrdetect.cli import _parse_cells, read_stream_csv
@@ -116,6 +117,40 @@ def test_batched_maxima_equal_per_replication_scans(
         for n in lengths:
             for kind, r in zip(StatKind, sliding_gsr(sliding_spanning_stats(y, n))):
                 assert got[(kind, n)][k] == r.max(), (k, kind, n)
+
+
+@_settings(100)
+@given(
+    lengths=window_sets(largest=6),
+    extra_rows=st.integers(0, 3 * BLOCK),
+    d=st.integers(1, 20),
+    count=st.integers(1, 12),
+    batch=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.sampled_from((0.0,) + LEVELS),
+    flat=st.none() | st.integers(0, 11),
+)
+def test_replication_loop_equals_per_replication_scans(
+    lengths, extra_rows, d, count, batch, seed, level, flat
+):
+    # Short last batches (count % batch != 0) rescan a stale tail and drop it.
+    rows = 2 * max(lengths) + extra_rows
+    ys = np.random.default_rng(seed).standard_normal((count, rows, d)) + level
+    if flat is not None and flat < count:
+        ys[flat] = ys[flat, 0]  # every ratio degenerate
+    drawn = []
+
+    def draw(lo, slots):
+        drawn.append((lo, len(slots)))
+        slots[...] = ys[lo : lo + len(slots)]
+
+    got = np.concatenate(list(_replication_maxima(count, rows, d, lengths, batch, draw)), axis=1)
+    assert drawn == [(lo, min(batch, count - lo)) for lo in range(0, count, batch)]
+    assert got.shape == (len(StatKind), count, len(lengths))
+    for k, y in enumerate(ys):
+        for j, n in enumerate(lengths):
+            want = [r.max() for r in sliding_gsr(sliding_spanning_stats(y, n))]
+            assert np.array_equal(got[:, k, j], want), (k, n)
 
 
 def _tie_table(y, lengths, picks):

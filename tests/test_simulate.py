@@ -58,6 +58,23 @@ class TestScenario:
         sc = Scenario(dimension=3.0, length=10)
         assert type(sc.dimension) is int and sc.sample(derived_rng(0)).shape == (10, 3)
 
+    def test_length_and_change_at_must_be_whole_numbers(self):
+        # each once ended in a bare TypeError from numpy, or (change_at=2.5
+        # without a shift) was accepted silently
+        for bad in (10.5, True):
+            with pytest.raises(ValueError, match="^length must be a whole number"):
+                Scenario(dimension=2, length=bad)
+        for bad in (2.5, True):
+            for shift in (0.0, 1.0):
+                with pytest.raises(ValueError, match="^change_at must be a whole number"):
+                    Scenario(dimension=2, length=10, change_at=bad, mean_shift=shift)
+        sc = Scenario(dimension=2, length=10.0, change_at=4.0, mean_shift=1.0)
+        assert type(sc.length) is int and type(sc.change_at) is int
+        assert np.array_equal(
+            sc.sample(derived_rng(0)),
+            Scenario(dimension=2, length=10, change_at=4, mean_shift=1.0).sample(derived_rng(0)),
+        )
+
 
 class TestClassifyOutcome:
     def test_four_quadrants(self):
@@ -126,6 +143,13 @@ class TestStaticStudy:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError):
             run_static_power(3, 10, "mean", samples=50)
+
+    def test_sample_count_must_be_a_whole_number(self):
+        # 100.5 once ended in a bare TypeError from numpy
+        for bad in (100.5, True):
+            with pytest.raises(ValueError, match="^samples must be a whole number"):
+                run_static_power(3, 5, "mean", samples=bad)
+        assert run_static_power(3, 5, "mean", samples=100.0) == run_static_power(3, 5, "mean")
 
     def test_window_and_dimension_must_be_whole_numbers(self):
         for bad in (2.5, True):
@@ -229,6 +253,15 @@ class TestOnlineStudy:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError):
             run_online_power(2, samples=100)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stream_length", 60.5), ("change_position", 30.5), ("samples", 200.5), ("samples", True)],
+    )
+    def test_counts_and_positions_must_be_whole_numbers(self, field, value):
+        # each once ended in a bare TypeError from numpy
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
+            run_online_power(2, **{"windows": (5,), "samples": 200, field: value})
 
 
 class TestStaticGrid:
