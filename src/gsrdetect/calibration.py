@@ -76,6 +76,9 @@ def empirical_upper_quantile(values, alpha: float) -> float:
 
 def bootstrap_quantile_se(values, alpha: float, resamples: int = 500, seed: int = 0) -> float:
     """Bootstrap standard error of :func:`empirical_upper_quantile`."""
+    resamples = windows._whole_number(resamples, "resamples")
+    if resamples < 2:
+        raise ValueError(f"resamples must be at least 2, got {resamples}")
     v = np.asarray(values, dtype=float)
     rng = derived_rng(seed, 0xB007)
     estimates = np.empty(resamples)
@@ -133,14 +136,22 @@ class CalibrationConfig:
             )
         if self.base_scale <= 0:
             raise CalibrationError("base_scale must be positive")
-        for n in self.window_lengths:
-            for kind in StatKind:
-                alpha = self.alphas.get((kind, n))
-                if alpha is None:
-                    raise CalibrationError(f"missing alpha for ({kind}, n={n})")
-                if not (0.0 < alpha < 1.0):
-                    raise CalibrationError(f"alpha for ({kind}, n={n}) not in (0, 1): {alpha}")
-                _quantile_index(self.replications, alpha)
+        for alpha in _alpha_levels(self.alphas, self.window_lengths, CalibrationError):
+            _quantile_index(self.replications, alpha)
+
+
+def _alpha_levels(alphas, window_lengths, error=ValueError) -> list[float]:
+    """Every (family, n) pair's level in ``alphas``, each checked to lie in (0, 1)."""
+    levels = []
+    for n in window_lengths:
+        for kind in StatKind:
+            alpha = alphas.get((kind, n))
+            if alpha is None:
+                raise error(f"missing alpha for ({kind}, n={n})")
+            if not (0.0 < alpha < 1.0):
+                raise error(f"alpha for ({kind}, n={n}) not in (0, 1): {alpha}")
+            levels.append(alpha)
+    return levels
 
 
 @dataclass(frozen=True)
@@ -265,9 +276,9 @@ def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, dr
     One array of ``min(batch, count)`` contiguous (rows, dim) slots, one set of
     block buffers and one ratio buffer serve every batch.  ``draw(lo, slots)``
     fills the given leading slots with replications lo, lo + 1, ...; the kernel
-    scans the whole array.  Yields each batch's (family, replication, length)
-    zone maxima, each equal to a scan of its sequence alone, bit for bit.  A
-    short last batch's stale tail, the previous batch's sequences, is dropped.
+    scans those slots, on the leading slots of the buffers when a last batch is
+    short.  Yields each batch's (family, replication, length) zone maxima, each
+    equal to a scan of its sequence alone, bit for bit.
     """
     slots = np.empty((min(batch, count), rows, dim))
     ys = slots.swapaxes(0, 1)  # rows first, as the kernel takes
@@ -276,12 +287,12 @@ def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, dr
     for lo in range(0, count, len(slots)):
         live = min(len(slots), count - lo)
         draw(lo, slots[:live])
-        stats = windows._window_scan(ys, lengths, buffers)
+        stats = windows._window_scan(ys[:, :live], lengths, [b[:, :live] for b in buffers])
         maxima = np.empty((len(StatKind), live, len(lengths)))
         for j, n in enumerate(lengths):
             col = windows._column(stats, j, n)
-            r = _gsr_into(col.w_left, col.w_right, col.w_full, ratios[:, : len(col.clocks)])
-            maxima[:, :, j] = r.max(axis=1)[:, :live]
+            out = ratios[:, : len(col.clocks), :live]
+            maxima[:, :, j] = _gsr_into(col.w_left, col.w_right, col.w_full, out).max(axis=1)
         yield maxima
 
 

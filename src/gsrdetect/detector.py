@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import windows
-from .calibration import ThresholdTable, analytic_table
+from .calibration import ThresholdTable, _alpha_levels, analytic_table
 from .ratios import GsrTriple, StatKind, _gsr_into, compute_gsr
 from .windows import (
     ObservationWindow,
@@ -178,7 +178,9 @@ class DetectorConfig:
             object.__setattr__(self, "cooldown", _whole_number(self.cooldown, "cooldown"))
             if self.cooldown < 1:
                 raise ValueError("cooldown must be a positive number of steps")
-        if self.alphas is None and not (0.0 < self.alpha_total < 1.0):
+        if self.alphas is not None:
+            _alpha_levels(self.alphas, self.windows)  # raises on a missing or bad level
+        elif not (0.0 < self.alpha_total < 1.0):
             raise ValueError(f"alpha_total must be in (0, 1), got {self.alpha_total}")
 
     def resolved_alphas(self) -> dict[tuple[StatKind, int], float]:

@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats
 
+from .windows import _whole_number
+
 __all__ = [
     "FisherParams",
     "ChiSquareParams",
@@ -137,7 +139,7 @@ def gaussian_sample(mean, scale, count: int, seed: int) -> np.ndarray:
     -------
     (count, d) ndarray
     """
-    if count < 1:
+    if _whole_number(count, "count") < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     mu = np.atleast_1d(np.asarray(mean, dtype=float))
     if mu.ndim != 1:

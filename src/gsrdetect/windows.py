@@ -56,6 +56,8 @@ _ROW_SUM_MIN = 512
 
 _NON_FINITE = "observations contain non-finite values"
 
+_PAIRED = np.array([0, 1, 2, 1])  # ObservationWindow's rows (c, L, R, R) against (c, L, R, L)
+
 
 class _NonFiniteError(ValueError):
     """A batch of observations holds NaN or infinity."""
@@ -143,7 +145,7 @@ def spanning_distance(observations) -> float:
     m = mat.shape[0]
     if m < 2:
         raise ValueError("spanning distance needs at least 2 observations")
-    seg = _half_windows(*_anchored_block(mat), m)[2]
+    seg = _half_windows(*_anchored_block(mat), m)[1]
     return max(float(seg[0]), 0.0)
 
 
@@ -187,14 +189,12 @@ class ObservationWindow:
         if self._d < 1:
             raise ValueError("dimension must be at least 1")
         self._obs = deque(maxlen=2 * self._n)  # copies of the observations
-        # Set at warm-up by _reanchor, all oldest first: the anchor row, L.R of
-        # the current window and the last n + 1 entries of the kernel's S1, S2
-        # (_pre, _pre_sq), D, |D|^2 (_half, _half_sq) and n Q - |D|^2 (_seg),
-        # as each slide extends them; the halves are [0] and [-1].
-        self._anchor = self._cross = self._pre = self._pre_sq = None
-        self._half = self._half_sq = self._seg = None
+        # Set at warm-up by _reanchor: the anchor row, the last 2n + 1 entries
+        # of the kernel's S1 and S2 (_pre, _pre_sq), oldest first, and the
+        # current window's |L|^2, |R|^2, L.R, w_left and w_right before clamping.
+        self._anchor = self._pre = self._pre_sq = self._sums = None
         self._slides = 0  # slides since the last anchor
-        self._rows = np.zeros((3, self._d))  # reused rows: c, the new D and L
+        self._rows = np.zeros((4, self._d))  # reused rows: c, L, R and R again
 
     @classmethod
     def from_observations(cls, observations, half_length: int | None = None) -> "ObservationWindow":
@@ -248,15 +248,36 @@ class ObservationWindow:
 
     def _reanchor(self) -> None:
         """Rebuild the sums on the oldest buffered row, as the batch path anchors a block."""
-        n = self._n
         rows = np.array(self._obs)
-        s1, s2 = _anchored_block(rows)
-        half, half_sq, seg, cross, _ = _half_windows(s1, s2, n)
-        self._anchor, self._cross = rows[0], float(cross[0])
-        self._pre, self._pre_sq = deque(s1[n:], n + 1), deque(s2[n:].tolist(), n + 1)
-        self._half, self._half_sq = deque(half, n + 1), deque(half_sq.tolist(), n + 1)
-        self._seg = deque(seg.tolist(), n + 1)
+        s1, s2 = _anchored_block(rows[:-1])
+        self._anchor = rows[0]
+        self._pre, self._pre_sq = deque(s1, len(rows) + 1), deque(s2.tolist(), len(rows) + 1)
+        self._extend(rows[-1])
         self._slides = 0
+
+    def _extend(self, y: np.ndarray) -> None:
+        """Extend the sums by prefix position p, row ``y``, in the batch path's order.
+
+        ``S1[p] = S1[p - 1] + c``, with halves ``L = S1[p - n] - S1[p - 2n]``
+        and ``R = S1[p] - S1[p - n]``; a non-finite row raises before any change.
+        """
+        n, rows, pre, pre_sq = self._n, self._rows, self._pre, self._pre_sq
+        np.subtract(y, self._anchor, out=rows[0])
+        s1 = pre[-1] + rows[0]
+        np.subtract(pre[-n], pre[-2 * n], out=rows[1])
+        np.subtract(s1, pre[-n], out=rows[2])
+        rows[3] = rows[2]
+        # |c|^2, |L|^2, |R|^2 and L.R in one einsum over several rows, as the
+        # batch path reduces them (einsum splits a lone long row differently).
+        sq, left_sq, right_sq, cross = np.einsum("ij,ij->i", rows, rows[_PAIRED]).tolist()
+        # The squared norm is non-finite if the observation is (or overflows).
+        if not math.isfinite(sq) and not np.all(np.isfinite(y)):
+            raise ValueError("observation contains non-finite values")
+        s2 = pre_sq[-1] + sq
+        w_left = (pre_sq[-n] - pre_sq[-2 * n]) * n - left_sq
+        self._sums = (left_sq, right_sq, cross, w_left, (s2 - pre_sq[-n]) * n - right_sq)
+        pre.append(s1)
+        pre_sq.append(s2)
 
     def slide(self, incoming) -> "ObservationWindow":
         """Feed one observation; fills the window during warm-up, slides after.
@@ -273,27 +294,7 @@ class ObservationWindow:
         y = np.array(incoming, dtype=float)
         if y.shape != self._anchor.shape:
             y = _as_observation(y, self._d)
-        # The batch path's order at the new prefix position p: S1[p] =
-        # S1[p - 1] + c and D = S1[p] - S1[p - n], with the new window's left
-        # half L = D[p - 2n].
-        rows, pre, pre_sq, half = self._rows, self._pre, self._pre_sq, self._half
-        np.subtract(y, self._anchor, out=rows[0])
-        s1 = pre[-1] + rows[0]
-        np.subtract(s1, pre[1], out=rows[1])
-        rows[2] = half[1]
-        # |c|^2, |D|^2 and L.R in one einsum over several rows, as the batch
-        # path reduces them (einsum splits a lone long row differently).
-        sq, half_sq, cross = np.einsum("ij,ij->i", rows, rows[[0, 1, 1]]).tolist()
-        # The squared norm is non-finite if the observation is (or overflows).
-        if not math.isfinite(sq) and not np.all(np.isfinite(y)):
-            raise ValueError("observation contains non-finite values")
-        s2 = pre_sq[-1] + sq
-        self._seg.append((s2 - pre_sq[1]) * n - half_sq)
-        pre.append(s1)
-        pre_sq.append(s2)
-        half.append(rows[1].copy())
-        self._half_sq.append(half_sq)
-        self._cross = cross
+        self._extend(y)
         obs.append(y)
         self._slides += 1
         if self._slides == _BLOCK:
@@ -303,11 +304,11 @@ class ObservationWindow:
     def decompose(self) -> SpanningDecomposition:
         """Spanning decomposition of the current warm window."""
         self._require_warm()
-        half_sq, seg_left, seg_right = self._half_sq, self._seg[0], self._seg[-1]
+        left_sq, right_sq, cross, w_left, w_right = self._sums
         # The batch path's order: (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right),
         # then negative cancellation residue is clamped to zero.
-        w_full = self._cross * -2.0 + half_sq[0] + half_sq[-1] + 2.0 * (seg_left + seg_right)
-        w_full, w_left, w_right = max(w_full, 0.0), max(seg_left, 0.0), max(seg_right, 0.0)
+        w_full = cross * -2.0 + left_sq + right_sq + 2.0 * (w_left + w_right)
+        w_full, w_left, w_right = max(w_full, 0.0), max(w_left, 0.0), max(w_right, 0.0)
         w_btw = max(w_full - w_left - w_right, 0.0)
         w_rem = w_full - 2.0 * (w_left + w_right)
         return SpanningDecomposition(w_full, w_left, w_right, w_rem, w_btw)
@@ -369,24 +370,24 @@ def _anchored_block(block: np.ndarray, s1=None, s2=None):
     return s1[: m + 1], s2[: m + 1]
 
 
-def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None, spanned_only=False):
+def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None):
     """Sums of the half-windows of n rows, from :func:`_anchored_block`'s m + 1 rows of sums.
 
     For each half-window r: ``D[r] = S1[r + n] - S1[r]``, ``|D[r]|^2`` and its
     spanning distance before clamping, ``seg[r] = n (S2[r + n] - S2[r]) - |D[r]|^2``;
-    and ``D[r].D[r + n]`` for each of the p = m + 1 - 2n windows.  With
-    ``spanned_only``, when p < n only the half-windows that some window spans
-    are formed: the left halves [0, p) and the right halves [n, n + p), one
-    after the other.  Returns D, |D|^2 and seg of the half-windows formed, the
-    cross products, and the slices of the formed rows that hold the windows'
-    left and right halves.  The buffer ``sums`` (zeroed when omitted) holds at
-    least m + 2 - n rows, with the row after the formed ones finite: a spare
-    row, whatever it holds, as every einsum must reduce two rows or more (it
-    splits a lone row longer than its buffer differently).
+    and ``D[r].D[r + n]`` for each of the p = m + 1 - 2n windows.  When
+    0 < p < n only the half-windows that some window spans are formed: the
+    left halves [0, p) and the right halves [n, n + p), one after the other.
+    Returns |D|^2 and seg of the half-windows formed, the cross products, and
+    the slices of the formed rows that hold the windows' left and right halves.
+    The buffer ``sums`` (zeroed when omitted) holds at least m + 2 - n rows of
+    D, with the row after the formed ones finite: a spare row, whatever it
+    holds, as every einsum must reduce two rows or more (it splits a lone row
+    longer than its buffer differently).
     """
     k = s1.shape[0] - n  # half-windows
     p = k - n  # windows
-    starts, rows = ((0, n), p) if spanned_only and 0 < p < n else ((0,), k)
+    starts, rows = ((0, n), p) if 0 < p < n else ((0,), k)
     formed = len(starts) * rows
     if sums is None:
         sums = np.zeros((k + 1, *s1.shape[1:]))
@@ -395,14 +396,13 @@ def _half_windows(s1: np.ndarray, s2: np.ndarray, n: int, sums=None, spanned_onl
         at = slice(i * rows, (i + 1) * rows)
         np.subtract(s1[r + n : r + n + rows], s1[r : r + rows], out=sums[at])
         np.subtract(s2[r + n : r + n + rows], s2[r : r + rows], out=seg[at])
-    dn = sums[:formed]
     dn_sq = np.einsum("...j,...j->...", sums[: formed + 1], sums[: formed + 1])[:formed]
     seg *= n
     seg -= dn_sq
     right = formed - p  # the first right half
     pairs = max(p, 2) if p > 0 else 0  # a block of one half-window has no pair
     cross = np.einsum("...j,...j->...", sums[:pairs], sums[right : right + pairs])
-    return dn, dn_sq, seg, cross[:p], (slice(0, p), slice(right, formed))
+    return dn_sq, seg, cross[:p], (slice(0, p), slice(right, formed))
 
 
 def _scan_buffers(shape, lengths):
@@ -449,8 +449,8 @@ def _window_scan(y: np.ndarray, lengths, buffers=None) -> SlidingStats:
                 m_n = min(m, _BLOCK + 2 * n - 1)
                 if m_n < 2 * n:  # every window of this n is done
                     continue
-                _, dn_sq, seg, cross, (left, right) = _half_windows(
-                    s1[: m_n + 1], s2[: m_n + 1], n, sums, spanned_only=True
+                dn_sq, seg, cross, (left, right) = _half_windows(
+                    s1[: m_n + 1], s2[: m_n + 1], n, sums
                 )
                 row = lo + 2 * n - first
                 w = out[:, j, row : row + m_n + 1 - 2 * n]

@@ -50,6 +50,16 @@ class TestEmpiricalQuantile:
         with pytest.raises(CalibrationError, match="quantile unresolvable"):
             empirical_upper_quantile(np.arange(10.0), 0.05)
 
+    def test_bootstrap_needs_two_whole_resamples(self):
+        # 0 and 1 once returned nan after numpy warnings
+        values = np.arange(100.0)
+        for bad in (0, 1, 2.5, True):
+            with pytest.raises(ValueError, match="^resamples must be"):
+                bootstrap_quantile_se(values, 0.05, resamples=bad)
+        assert bootstrap_quantile_se(values, 0.05, resamples=2.0) == bootstrap_quantile_se(
+            values, 0.05, resamples=2
+        )
+
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=500)

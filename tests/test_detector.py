@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from gsrdetect.detector import (
 )
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
-from gsrdetect.windows import _BLOCK, sliding_spanning_stats
+from gsrdetect.windows import _BLOCK, ObservationWindow, sliding_spanning_stats
 
 
 class TestAllocateAlphas:
@@ -101,6 +102,24 @@ def test_cooldown_must_be_a_whole_number():
     assert events == detect_stream(y, ints)
     det = Detector(config, 3)
     assert events == [e for row in y for e in det.step(row)]
+
+
+def test_given_alphas_must_cover_every_family_and_window():
+    # a missing pair once ended in a bare KeyError from analytic_table
+    full = {(kind, n): 0.01 for kind in StatKind for n in (5, 6)}
+    cases = [
+        ({}, (5,), r"missing alpha for \(mu, n=5\)"),
+        ({k: a for k, a in full.items() if k[1] == 5}, (5, 6), r"missing alpha for \(mu, n=6\)"),
+        ({**full, (StatKind.MU, 5): 1.5}, (5,), r"alpha for \(mu, n=5\) not in \(0, 1\): 1.5"),
+        ({**full, (StatKind.SIGMA_MINUS, 6): 0.0}, (5, 6), r"alpha for \(sigma-, n=6\) not in"),
+    ]
+    for alphas, lengths, match in cases:
+        with pytest.raises(ValueError, match=f"^{match}"):
+            DetectorConfig(windows=lengths, alphas=alphas)
+    config = DetectorConfig(windows=(5, 6), alphas=full)
+    det, y = Detector(config, 2), _shifted_stream(t_len=60, d=2, change_at=31, shift=3.0)
+    events = detect_stream(y, config)
+    assert events and [e for row in y for e in det.step(row)] == events
 
 
 def test_config_stores_whole_float_windows_as_ints():
@@ -189,6 +208,23 @@ class TestDetectorStep:
             events.extend(det.step(row))
         assert det.clock == len(y)
         assert events and events == detect_stream(y, config)
+
+    def test_rows_whose_squared_norms_overflow_agree_without_warnings(self):
+        # finite rows; the step path once warned on its first anchor where the batch path is silent
+        y = np.random.default_rng(3).standard_normal((40, 3)) * 1e160
+        config = DetectorConfig(windows=(4,), policy="continue")
+        det, win, batch = Detector(config, 3), ObservationWindow(4, 3), sliding_spanning_stats(y, 4)
+        events = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t, row in enumerate(y, start=1):
+                events.extend(det.step(row))
+                win.slide(row)
+                if t >= 8:
+                    dec = win.decompose()
+                    got, want = [dec.w_left, dec.w_right, dec.w_full], [w[t - 8] for w in batch[1:]]
+                    assert np.array_equal(got, want, equal_nan=True)
+            assert events == detect_stream(y, config) == []
 
     def test_table_dimension_checked(self):
         table = analytic_table((4,), 2, allocate_alphas(0.06, (4,)))

@@ -116,6 +116,17 @@ class TestGaussianSample:
         with pytest.raises(ValueError):
             gaussian_sample([0.0, 0.0], [1.0, -1.0], 10, seed=0)
 
+    def test_count_must_be_a_whole_number(self):
+        # 2.5 once drew 2 rows and True one row
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="^count must be a whole number"):
+                gaussian_sample([0.0], 1.0, bad, seed=0)
+        with pytest.raises(ValueError, match="^count must be at least 1"):
+            gaussian_sample([0.0], 1.0, 0, seed=0)
+        np.testing.assert_array_equal(
+            gaussian_sample([0.0], 1.0, 3.0, seed=4), gaussian_sample([0.0], 1.0, 3, seed=4)
+        )
+
     def test_derived_rng_substreams_differ(self):
         x = derived_rng(5, 0).standard_normal(4)
         y = derived_rng(5, 1).standard_normal(4)

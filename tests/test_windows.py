@@ -125,8 +125,14 @@ def test_slide_rejects_dimension_mismatch_and_nonfinite():
         win.slide([1.0, np.inf])
 
 
-@pytest.mark.parametrize("fed", [5, 20], ids=["warming", "warm"])
-def test_rejected_slide_leaves_window_unchanged(fed):
+@pytest.mark.parametrize(
+    "fed, block",
+    [(5, _BLOCK), (20, _BLOCK), (23, 16), (24, 16)],
+    # with 16 positions a block, the slide after 23 rows re-anchors and the one after 24 follows it
+    ids=["warming", "warm", "before-reanchor", "after-reanchor"],
+)
+def test_rejected_slide_leaves_window_unchanged(monkeypatch, fed, block):
+    monkeypatch.setattr(windows_module, "_BLOCK", block)
     stream = np.random.default_rng(7).normal(size=(40, 3))
     batch = sliding_spanning_stats(stream, 4)
     win = ObservationWindow(4, 3)
