@@ -7,7 +7,8 @@ the empirical upper quantile of the K maxima.  Scanning the maximum over the
 zone absorbs the dependence between overlapping windows that a single-point
 quantile would ignore.  Replication k is drawn from the generator derived from
 (seed, k), whatever the batching; batches of replications go through the
-batch kernel together, one prefix pass per block for every window length.
+batch kernel together, one prefix pass per block for every window length,
+and a large batch is scanned while a helper thread draws the next.
 
 Analytic path: single-point critical values from the pivotal F laws,
   mean:     rho = F^{-1}(alpha; d, 2(n-1)d) / (n-1) + 2
@@ -19,14 +20,17 @@ unknown mean/variance of the monitored data.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .distributions import FisherParams, derived_rng, fisher_upper_quantile
+from .distributions import FisherParams, _checked_seed, derived_rng, fisher_upper_quantile
 from .ratios import StatKind, _gsr_into
 from . import windows
 
@@ -46,6 +50,10 @@ __all__ = [
 TABLE_FORMAT_VERSION = 1
 
 DEFAULT_REPLICATIONS = 2000
+
+# Values per batch from which the replication loop draws the next batch on a
+# helper thread while it scans the current one (see _replication_maxima).
+_OVERLAP_VALUES = 2**16
 
 
 class CalibrationError(ValueError):
@@ -110,7 +118,7 @@ class CalibrationConfig:
         # Whole floats become ints, as the batch shapes need; validate() rejects the rest.
         if all(map(windows._is_whole, self.window_lengths)):
             object.__setattr__(self, "window_lengths", tuple(map(int, self.window_lengths)))
-        for name in ("dimension", "zone_length", "replications"):
+        for name in ("dimension", "zone_length", "replications", "seed"):
             if windows._is_whole(getattr(self, name)):
                 object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -134,8 +142,11 @@ class CalibrationConfig:
             raise CalibrationError(
                 f"zone length {zone} shorter than the largest window 2x{n_max}"
             )
-        if self.base_scale <= 0:
-            raise CalibrationError("base_scale must be positive")
+        _checked_seed(self.seed, CalibrationError)
+        if not 0 < self.base_scale < math.inf:
+            raise CalibrationError(f"base_scale must be positive and finite, got {self.base_scale}")
+        if not math.isfinite(self.base_mean):
+            raise CalibrationError(f"base_mean must be finite, got {self.base_mean}")
         for alpha in _alpha_levels(self.alphas, self.window_lengths, CalibrationError):
             _quantile_index(self.replications, alpha)
 
@@ -273,27 +284,62 @@ def _entry_order(window_lengths: Iterable[int]):
 def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, draw):
     """The replication loop of calibration and the static studies, one batch at a time.
 
-    One array of ``min(batch, count)`` contiguous (rows, dim) slots, one set of
-    block buffers and one ratio buffer serve every batch.  ``draw(lo, slots)``
-    fills the given leading slots with replications lo, lo + 1, ...; the kernel
-    scans those slots, on the leading slots of the buffers when a last batch is
-    short.  Yields each batch's (family, replication, length) zone maxima, each
-    equal to a scan of its sequence alone, bit for bit.
+    One array of ``min(batch, count)`` contiguous (rows, dim) slots (two when
+    the draws overlap the scan, below), one set of block buffers and one ratio
+    buffer serve every batch.  ``draw(lo, slots)`` fills the given leading
+    slots with replications lo, lo + 1, ...; the kernel scans those slots, on
+    the leading slots of the buffers when a last batch is short.  Yields each
+    batch's (family, replication, length) zone maxima, each equal to a scan of
+    its sequence alone, bit for bit.
+
+    When a batch holds at least ``_OVERLAP_VALUES`` values, there is more than
+    one batch and the process may run on more than one CPU, there are two slot
+    arrays: one helper thread draws the next batch into one while the calling
+    thread scans the other.  numpy fills ``out=`` without the GIL, so the draws
+    and the scan overlap.  Below that size the draws' per-replication Python
+    work (a ``derived_rng`` per replication) holds the GIL for most of a draw,
+    the threads take turns, and the handoffs cost more than they save.  Batches
+    are still drawn one at a time, in order, so every draw sees the same calls
+    as in the serial loop; the kernel and everything outside ``draw`` stay on
+    the calling thread.  A draw's error is raised on the calling thread when
+    its batch is due.  The helper is joined on every way out of the loop; when
+    the loop stops early, the outcome of a draw the serial loop would not have
+    made is dropped.
     """
-    slots = np.empty((min(batch, count), rows, dim))
-    ys = slots.swapaxes(0, 1)  # rows first, as the kernel takes
-    buffers = windows._scan_buffers(ys.shape, lengths)
-    ratios = np.empty((len(StatKind), rows - 2 * min(lengths) + 1, len(slots)))
-    for lo in range(0, count, len(slots)):
-        live = min(len(slots), count - lo)
-        draw(lo, slots[:live])
-        stats = windows._window_scan(ys[:, :live], lengths, [b[:, :live] for b in buffers])
-        maxima = np.empty((len(StatKind), live, len(lengths)))
-        for j, n in enumerate(lengths):
-            col = windows._column(stats, j, n)
-            out = ratios[:, : len(col.clocks), :live]
-            maxima[:, :, j] = _gsr_into(col.w_left, col.w_right, col.w_full, out).max(axis=1)
-        yield maxima
+    size = min(batch, count)
+    overlap = count > size and size * rows * dim >= _OVERLAP_VALUES and _cpus() > 1
+    slot_arrays = [np.empty((size, rows, dim)) for _ in range(1 + overlap)]
+    buffers = windows._scan_buffers((rows, size, dim), lengths)
+    ratios = np.empty((len(StatKind), rows - 2 * min(lengths) + 1, size))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = None  # the helper's draw of this batch
+        for i, lo in enumerate(range(0, count, size)):
+            live = min(size, count - lo)
+            slots = slot_arrays[i % len(slot_arrays)][:live]
+            if ahead is None:
+                draw(lo, slots)
+            else:
+                ahead.result()
+            ahead = None
+            if overlap and lo + size < count:
+                after = slot_arrays[(i + 1) % 2][: min(size, count - lo - size)]
+                ahead = helper.submit(contextvars.copy_context().run, draw, lo + size, after)
+            ys = slots.swapaxes(0, 1)  # rows first, as the kernel takes
+            stats = windows._window_scan(ys, lengths, [b[:, :live] for b in buffers])
+            maxima = np.empty((len(StatKind), live, len(lengths)))
+            for j, n in enumerate(lengths):
+                col = windows._column(stats, j, n)
+                out = ratios[:, : len(col.clocks), :live]
+                maxima[:, :, j] = _gsr_into(col.w_left, col.w_right, col.w_full, out).max(axis=1)
+            yield maxima
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], np.ndarray]:

@@ -121,6 +121,13 @@ def derived_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
 
 
+def _checked_seed(seed, error=ValueError) -> int:
+    """``seed`` as an int for :func:`derived_rng`: a whole number (not a boolean) of at least 0."""
+    if _whole_number(seed, "seed", error) < 0:
+        raise error(f"seed must be nonnegative, got {seed!r}")
+    return int(seed)
+
+
 def gaussian_sample(mean, scale, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` i.i.d. Gaussian d-vectors, deterministically from ``seed``.
 

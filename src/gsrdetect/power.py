@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import _replication_maxima, analytic_threshold_mu
-from .distributions import FisherParams, derived_rng, fisher_upper_quantile
+from .distributions import FisherParams, _checked_seed, derived_rng, fisher_upper_quantile
 from .windows import _half_length, _whole_number
 
 __all__ = [
@@ -173,14 +173,20 @@ def empirical_power(
     replications = _whole_number(replications, "replications")
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     n, d = _half_length(n), _whole_number(d, "dimension")
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
-    delta = np.broadcast_to(np.asarray(shift, dtype=float), (d,))
+    delta = np.asarray(shift, dtype=float)
+    if delta.shape not in ((), (1,), (d,)):
+        raise ValueError(
+            f"shift must be a scalar or a vector of length {d}, got shape {delta.shape}"
+        )
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("shift must be finite")
     rho = analytic_threshold_mu(n, d, alpha)
-    rng = derived_rng(seed, 0x90E6)
+    rng = derived_rng(_checked_seed(seed), 0x90E6)
     def draw(lo, slots):
         y = rng.standard_normal(out=slots)
         y *= sigma

@@ -29,7 +29,7 @@ from .calibration import (
     calibrate_monte_carlo,
 )
 from .detector import DetectionEvent, DetectorConfig, allocate_alphas, detect_stream
-from .distributions import derived_rng
+from .distributions import _checked_seed, derived_rng
 from .ratios import StatKind
 from .windows import _half_length, _whole_number
 
@@ -70,8 +70,12 @@ class Scenario:
             raise ValueError(
                 f"change_at={self.change_at} outside stream of length {self.length}"
             )
-        if self.variance_scale <= 0:
-            raise ValueError("variance_scale must be positive")
+        if not math.isfinite(self.mean_shift):
+            raise ValueError(f"mean_shift must be finite, got {self.mean_shift}")
+        if not 0 < self.variance_scale < math.inf:
+            raise ValueError(
+                f"variance_scale must be positive and finite, got {self.variance_scale}"
+            )
 
     @property
     def has_change(self) -> bool:
@@ -197,7 +201,7 @@ def run_static_power(
     samples = _whole_number(samples, "samples")
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    n = _half_length(n)
+    n, seed = _half_length(n), _checked_seed(seed)
     plain, changed = _scenarios(change, dimension, 2 * n, n + 1, mean_shift, variance_scale)
     dimension = plain.dimension
 
@@ -244,6 +248,7 @@ def run_online_power(
     samples = _whole_number(samples, "samples")
     if samples < 200:
         raise ValueError(f"need at least 200 samples, got {samples}")
+    seed = _checked_seed(seed)
     windows = tuple(sorted(windows))
     stream_length = _whole_number(stream_length, "stream_length")
     change_position = _whole_number(change_position, "change_position")

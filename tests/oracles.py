@@ -4,19 +4,33 @@ Everything here computes spanning quantities by explicit pairwise
 enumeration (directly or via scipy's pdist), never through the running-sum
 identity the package uses, so agreement is evidence rather than tautology.
 ``per_cell_csv`` reads a stream CSV with ``csv`` and ``float`` alone, never
-through numpy's text parser.
+through numpy's text parser.  ``replication_overlap`` holds calibration's
+replication loop on one of its two paths, so the paths can be compared.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from gsrdetect import calibration
 from gsrdetect.cli import InputFormatError
+
+
+@contextmanager
+def replication_overlap(on: bool):
+    """Run every batch of ``calibration._replication_maxima`` after the first on
+    its helper thread (``on``), whatever the batch size and the CPUs, or none."""
+    with mock.patch.object(calibration, "_OVERLAP_VALUES", 0 if on else math.inf):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            yield
 
 
 def pairwise_spanning(points) -> float:

@@ -1,16 +1,24 @@
 """Monte Carlo and analytic threshold calibration, table serialization."""
 
 import math
+import os
+import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import replication_overlap
 
+from gsrdetect import calibration as calibration_module
 from gsrdetect import windows as windows_module
 from gsrdetect.calibration import (
     CalibrationConfig,
     CalibrationError,
     ThresholdEntry,
     ThresholdTable,
+    _replication_maxima,
     analytic_table,
     analytic_threshold_mu,
     analytic_threshold_sigma,
@@ -21,8 +29,10 @@ from gsrdetect.calibration import (
 )
 from gsrdetect.detector import allocate_alphas
 from gsrdetect.distributions import derived_rng
+from gsrdetect.power import empirical_power
 from gsrdetect.ratios import StatKind, sliding_gsr
-from gsrdetect.windows import sliding_spanning_stats
+from gsrdetect.simulate import run_static_power
+from gsrdetect.windows import _NonFiniteError, sliding_spanning_stats
 
 
 def _config(**overrides):
@@ -188,6 +198,27 @@ class TestMonteCarloCalibration:
         table = calibrate_monte_carlo(_config(dimension=3.0))
         assert type(table.dimension) is int and table == calibrate_monte_carlo(_config(dimension=3))
 
+    def test_seed_must_be_a_nonnegative_whole_number(self):
+        # 1.5 once drew with seed 1 yet was written to the table as 1.5, and True as true
+        for seed in (1.5, True):
+            with pytest.raises(CalibrationError, match="^seed must be a whole number"):
+                calibrate_monte_carlo(_config(seed=seed))
+        with pytest.raises(CalibrationError, match="^seed must be nonnegative, got -1$"):
+            calibrate_monte_carlo(_config(seed=-1))
+        table = calibrate_monte_carlo(_config(seed=3.0))
+        assert type(table.seed) is int and table == calibrate_monte_carlo(_config(seed=3))
+        assert '"seed": 3,' in table.to_json()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base_scale", math.nan), ("base_scale", math.inf), ("base_mean", math.nan),
+         ("base_mean", -math.inf)],
+    )
+    def test_simulated_law_must_be_finite(self, field, value):
+        # each once passed validation and ended in the kernel's non-finite error
+        with pytest.raises(CalibrationError, match=f"^{field} must be .*finite, got"):
+            calibrate_monte_carlo(_config(**{field: value}))
+
 
 def _maxima_oracle(config):
     """Zone maxima from one scan per replication and window length."""
@@ -287,3 +318,158 @@ class TestTableSerialization:
         table = analytic_table((4,), 2, allocate_alphas(0.06, (4,)))
         with pytest.raises(KeyError):
             table.threshold(StatKind.MU, 9)
+
+
+def _loop_outcome(draw, count=12, batch=4):
+    """Batches of a small replication loop, or the error it ended in, with the thread count after."""
+    batches = []
+    try:
+        for maxima in _replication_maxima(count, 12, 2, (3,), batch, draw):
+            batches.append(maxima)
+    except Exception as exc:
+        return batches, (type(exc), str(exc)), threading.active_count()
+    return batches, None, threading.active_count()
+
+
+class TestReplicationOverlap:
+    """The replication loop's overlapped path gives the serial path's results and errors."""
+
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    def test_tables_and_maxima_equal_on_both_paths(self, d):
+        lengths = (5, 12) if d < 100 else (20, 35, 50)
+        config = _config(
+            window_lengths=lengths, dimension=d, alphas=allocate_alphas(0.06, lengths),
+            zone_length=6 * max(lengths) if d < 100 else 100, replications=230, seed=17,
+        )
+        results = []
+        for overlap in (False, True):
+            with replication_overlap(overlap):
+                results.append((calibrate_monte_carlo(config), calibration_maxima(config)))
+        (serial_table, serial), (overlapped_table, overlapped) = results
+        assert serial_table == overlapped_table
+        assert all(np.array_equal(serial[key], overlapped[key]) for key in serial)
+
+    @pytest.mark.parametrize("replications", [513, 3000])
+    def test_empirical_power_equal_on_both_paths(self, replications):
+        rates = []
+        for overlap in (False, True):
+            with replication_overlap(overlap):
+                rates.append([
+                    empirical_power(n, d, 0.05, 0.3, replications=replications, seed=9)
+                    for n in (10, 30) for d in (1, 10)
+                ])
+        assert np.array_equal(*rates)
+
+    @pytest.mark.parametrize("samples", [100, 513])
+    @pytest.mark.parametrize("change", ["none", "mean", "variance"])
+    def test_static_power_equal_on_both_paths(self, change, samples):
+        reports = []
+        for overlap in (False, True):
+            with replication_overlap(overlap):
+                reports.append(run_static_power(4, 10, change, samples=samples, seed=4))
+        assert reports[0] == reports[1]
+
+    def test_static_study_equal_on_both_paths_under_rapid_thread_switches(self):
+        # the draws append to the study's list on the helper while the caller scans
+        reports = []
+        for overlap in (False, True):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with replication_overlap(overlap):
+                    reports.append(run_static_power(4, 10, "mean", samples=2000, seed=8))
+            finally:
+                sys.setswitchinterval(interval)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "cpus, count, threshold, helper",
+        [  # _loop_outcome's batches hold 4 x 12 x 2 = 96 values
+            pytest.param({0, 1}, 12, 96, True, id="at-threshold"),
+            pytest.param({0, 1}, 12, 97, False, id="below-threshold"),
+            pytest.param({0}, 12, 0, False, id="one-cpu"),
+            pytest.param({0, 1}, 4, 0, False, id="one-batch"),
+        ],
+    )
+    def test_helper_draws_only_where_it_pays(self, cpus, count, threshold, helper):
+        threads = []
+
+        def draw(lo, slots):
+            threads.append(threading.current_thread())
+            slots[...] = derived_rng(5, lo).standard_normal(slots.shape)
+
+        with mock.patch.object(calibration_module, "_OVERLAP_VALUES", threshold):
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+                _loop_outcome(draw, count=count)
+        caller = threading.current_thread()
+        assert threads[0] is caller
+        assert all((t is not caller) is helper for t in threads[1:])
+
+    def _both_paths(self, make_draw):
+        outcomes = []
+        for overlap in (False, True):
+            before = threading.active_count()
+            with replication_overlap(overlap):
+                batches, error, after = _loop_outcome(make_draw())
+            assert after == before, overlap
+            outcomes.append((batches, error))
+        (serial, serial_error), (overlapped, overlapped_error) = outcomes
+        assert overlapped_error == serial_error
+        assert len(overlapped) == len(serial)
+        assert all(map(np.array_equal, serial, overlapped))
+        return serial_error
+
+    def test_draw_error_on_second_batch_is_raised_as_in_the_serial_loop(self):
+        def make_draw():
+            def draw(lo, slots):
+                if lo:
+                    raise RuntimeError(f"cannot draw replication {lo}")
+                slots[...] = derived_rng(5, lo).standard_normal(slots.shape)
+            return draw
+
+        assert self._both_paths(make_draw) == (RuntimeError, "cannot draw replication 4")
+
+    def test_kernel_error_while_the_next_batch_is_drawn_is_raised_as_in_the_serial_loop(self):
+        def make_draw():
+            def draw(lo, slots):
+                slots[...] = derived_rng(5, lo).standard_normal(slots.shape)
+                if lo == 4:
+                    slots[1, 3, 0] = np.nan  # batch 1 fails in the kernel
+                if lo == 8:
+                    time.sleep(0.05)  # batch 2 is still being drawn when it does
+            return draw
+
+        error = self._both_paths(make_draw)
+        assert error == (_NonFiniteError, "observations contain non-finite values")
+
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 keeps errstate per thread"
+    )
+    def test_draws_on_the_helper_see_the_callers_numpy_error_state(self):
+        def make_draw():
+            def draw(lo, slots):
+                slots[...] = derived_rng(5, lo).standard_normal(slots.shape)
+                if lo:
+                    slots *= 1e308  # overflows from the second batch on
+            return draw
+
+        with np.errstate(over="raise"):
+            error = self._both_paths(make_draw)
+        assert error == (FloatingPointError, "overflow encountered in multiply")
+
+    def test_consumer_closing_after_one_batch_stops_the_loop(self):
+        for overlap in (False, True):
+            before = threading.active_count()
+            drawn = []
+
+            def draw(lo, slots):
+                drawn.append(lo)
+                slots[...] = derived_rng(5, lo).standard_normal(slots.shape)
+
+            with replication_overlap(overlap):
+                batches = _replication_maxima(12, 12, 2, (3,), 4, draw)
+                first = next(batches)
+                batches.close()
+            assert first.shape == (len(StatKind), 4, 1)
+            assert threading.active_count() == before
+            assert drawn == ([0, 4] if overlap else [0])  # the helper drew one batch ahead

@@ -186,6 +186,31 @@ class TestEmpiricalPower:
                 empirical_power(n, 5, 0.05, 1.0)
         assert empirical_power(5.0, 3.0, 0.05, 1.0) == empirical_power(5, 3, 0.05, 1.0)
 
+    def test_seed_must_be_a_nonnegative_whole_number(self):
+        # 1.9 once drew silently as seed 1
+        for seed in (1.9, True):
+            with pytest.raises(ValueError, match="^seed must be a whole number"):
+                empirical_power(5, 2, 0.05, 1.0, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            empirical_power(5, 2, 0.05, 1.0, seed=-1)
+        assert empirical_power(5, 2, 0.05, 1.0, seed=2.0) == empirical_power(5, 2, 0.05, 1.0, seed=2)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sigma": math.nan}, "^sigma must be positive and finite, got nan$"),
+            ({"sigma": math.inf}, "^sigma must be positive and finite, got inf$"),
+            ({"shift": math.nan}, "^shift must be finite$"),
+            ({"shift": [0.5, -math.inf, 0.5]}, "^shift must be finite$"),
+            ({"shift": [0.5, 0.5]}, r"^shift must be a scalar or a vector of length 3, got shape \(2,\)$"),
+        ],
+    )
+    def test_rejects_non_finite_law_and_misshapen_shift(self, kwargs, message):
+        # each once reached the kernel's non-finite error or numpy's broadcast message
+        args = {"n": 5, "d": 3, "alpha": 0.05, "shift": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            empirical_power(**args)
+
     def test_dimension_at_least_one_and_whole_replication_count(self):
         # d = 0 once raised the F law's "df_num must be positive", and 100.5
         # replications a bare TypeError from numpy

@@ -25,7 +25,7 @@ from gsrdetect.detector import Detector, DetectorConfig, detect_stream
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
 from gsrdetect.windows import _column, _window_scan, sliding_spanning_stats
-from oracles import parse_outcome
+from oracles import parse_outcome, replication_overlap
 
 BLOCK = 16
 LEVELS = (-1e4, -3.0, 0.5, 100.0, 1e6)
@@ -133,24 +133,29 @@ def test_batched_maxima_equal_per_replication_scans(
 def test_replication_loop_equals_per_replication_scans(
     lengths, extra_rows, d, count, batch, seed, level, flat
 ):
-    # Short last batches (count % batch != 0) rescan a stale tail and drop it.
+    # Short last batches (count % batch != 0) scan only their own slots.  Both
+    # paths run: every batch drawn on the calling thread, and every batch after
+    # the first drawn on the helper thread while the one before it is scanned.
     rows = 2 * max(lengths) + extra_rows
     ys = np.random.default_rng(seed).standard_normal((count, rows, d)) + level
     if flat is not None and flat < count:
         ys[flat] = ys[flat, 0]  # every ratio degenerate
-    drawn = []
+    for overlap in (False, True):
+        drawn = []
 
-    def draw(lo, slots):
-        drawn.append((lo, len(slots)))
-        slots[...] = ys[lo : lo + len(slots)]
+        def draw(lo, slots):
+            drawn.append((lo, len(slots)))
+            slots[...] = ys[lo : lo + len(slots)]
 
-    got = np.concatenate(list(_replication_maxima(count, rows, d, lengths, batch, draw)), axis=1)
-    assert drawn == [(lo, min(batch, count - lo)) for lo in range(0, count, batch)]
-    assert got.shape == (len(StatKind), count, len(lengths))
-    for k, y in enumerate(ys):
-        for j, n in enumerate(lengths):
-            want = [r.max() for r in sliding_gsr(sliding_spanning_stats(y, n))]
-            assert np.array_equal(got[:, k, j], want), (k, n)
+        with replication_overlap(overlap):
+            batches = list(_replication_maxima(count, rows, d, lengths, batch, draw))
+        got = np.concatenate(batches, axis=1)
+        assert drawn == [(lo, min(batch, count - lo)) for lo in range(0, count, batch)]
+        assert got.shape == (len(StatKind), count, len(lengths))
+        for k, y in enumerate(ys):
+            for j, n in enumerate(lengths):
+                want = [r.max() for r in sliding_gsr(sliding_spanning_stats(y, n))]
+                assert np.array_equal(got[:, k, j], want), (k, n, overlap)
 
 
 def _tie_table(y, lengths, picks):

@@ -50,6 +50,19 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(dimension=1, length=10, change_at=11)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mean_shift", math.nan, "^mean_shift must be finite, got nan$"),
+            ("variance_scale", math.inf, "^variance_scale must be positive and finite, got inf$"),
+            ("variance_scale", math.nan, "^variance_scale must be positive and finite, got nan$"),
+        ],
+    )
+    def test_rejects_non_finite_change(self, field, value, message):
+        # each once passed and ended in the kernel's non-finite error
+        with pytest.raises(ValueError, match=message):
+            Scenario(dimension=2, length=10, change_at=5, **{field: value})
+
     def test_dimension_must_be_a_whole_number(self):
         # 2.5 once reached numpy's draw as a bare TypeError
         for dim in (2.5, True):
@@ -150,6 +163,20 @@ class TestStaticStudy:
             with pytest.raises(ValueError, match="^samples must be a whole number"):
                 run_static_power(3, 5, "mean", samples=bad)
         assert run_static_power(3, 5, "mean", samples=100.0) == run_static_power(3, 5, "mean")
+
+    def test_seed_must_be_a_nonnegative_whole_number(self):
+        # 1.5 once drew silently as seed 1
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match="^seed must be a whole number"):
+                run_static_power(3, 5, "mean", seed=seed)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            run_static_power(3, 5, "mean", seed=-1)
+        assert run_static_power(3, 5, "mean", seed=2.0) == run_static_power(3, 5, "mean", seed=2)
+
+    def test_rejects_non_finite_mean_shift(self):
+        # once ended in the kernel's non-finite error
+        with pytest.raises(ValueError, match="^mean_shift must be finite, got nan$"):
+            run_static_power(3, 5, "mean", mean_shift=math.nan)
 
     def test_window_and_dimension_must_be_whole_numbers(self):
         for bad in (2.5, True):
@@ -253,6 +280,17 @@ class TestOnlineStudy:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError):
             run_online_power(2, samples=100)
+
+    def test_seed_must_be_a_nonnegative_whole_number(self):
+        # 1.5 once drew silently as seed 1
+        table = analytic_table((5,), 2, allocate_alphas(0.06, (5,)))
+        study = dict(windows=(5,), samples=200, thresholds=table, stream_length=30, change_position=15)
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match="^seed must be a whole number"):
+                run_online_power(2, seed=seed, **study)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            run_online_power(2, seed=-1, **study)
+        assert run_online_power(2, seed=2.0, **study) == run_online_power(2, seed=2, **study)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from oracles import replication_overlap
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -119,3 +120,35 @@ def test_calibrate_study_reports_under_its_traced_names():
     )
     silent = [s for s in spans if not tracing.layer_metric(f"{s}.calls", totals, tracer.counters)]
     assert not silent, f"traced callables never called: {silent}"
+
+
+def test_spans_of_the_helper_thread_nest_under_calibration_maxima():
+    # the overlapped replication loop draws on a helper thread while the calling
+    # thread, inside calibration_maxima, makes no traced call; spans stay a tree
+    tracing = _load_tracing()
+    calibration = importlib.import_module(f"{tracing.PACKAGE}.calibration")
+    detector = importlib.import_module(f"{tracing.PACKAGE}.detector")
+    lengths = (20, 35, 50)
+    config = calibration.CalibrationConfig(
+        window_lengths=lengths,
+        dimension=100,
+        alphas=detector.allocate_alphas(0.06, lengths),
+        zone_length=100,
+        replications=150,
+        seed=7,
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with replication_overlap(True):
+            calibration.calibrate_monte_carlo(config)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    calls = tracing.layer_metric("distributions.derived_rng.calls", totals, tracer.counters)
+    assert calls == config.replications
+    names = {span: name for span, _, _, name, *_ in tracer.spans}
+    assert all(self_ns >= 0 for *_, self_ns in tracer.spans)
+    assert all(parent == 0 or parent in names for _, parent, *_ in tracer.spans)
+    parents = {names[parent] for _, parent, _, name, *_ in tracer.spans if name.endswith("derived_rng")}
+    assert parents == {"calibration.calibration_maxima"}
