@@ -30,9 +30,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .distributions import FisherParams, _checked_seed, derived_rng, fisher_upper_quantile
+from . import _checks, windows
+from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 from .ratios import StatKind, _gsr_into
-from . import windows
 
 __all__ = [
     "CalibrationError",
@@ -77,18 +77,16 @@ def _quantile_index(count: int, alpha: float) -> int:
 def empirical_upper_quantile(values, alpha: float) -> float:
     """Conservative empirical upper-alpha quantile (order statistic, no interpolation)."""
     v = np.asarray(values, dtype=float)
-    k = _quantile_index(v.size, alpha)
+    k = _quantile_index(v.size, _checks.level(alpha, "alpha"))
     k = max(k, 1)
     return float(np.partition(v, k - 1)[k - 1])
 
 
 def bootstrap_quantile_se(values, alpha: float, resamples: int = 500, seed: int = 0) -> float:
     """Bootstrap standard error of :func:`empirical_upper_quantile`."""
-    resamples = windows._whole_number(resamples, "resamples")
-    if resamples < 2:
-        raise ValueError(f"resamples must be at least 2, got {resamples}")
+    resamples = _checks.whole(resamples, "resamples", 2)
     v = np.asarray(values, dtype=float)
-    rng = derived_rng(seed, 0xB007)
+    rng = derived_rng(_checks.seed(seed), 0xB007)
     estimates = np.empty(resamples)
     for b in range(resamples):
         estimates[b] = empirical_upper_quantile(rng.choice(v, size=v.size, replace=True), alpha)
@@ -116,39 +114,28 @@ class CalibrationConfig:
 
     def __post_init__(self):
         # Whole floats become ints, as the batch shapes need; validate() rejects the rest.
-        if all(map(windows._is_whole, self.window_lengths)):
+        if all(map(_checks.is_whole, self.window_lengths)):
             object.__setattr__(self, "window_lengths", tuple(map(int, self.window_lengths)))
         for name in ("dimension", "zone_length", "replications", "seed"):
-            if windows._is_whole(getattr(self, name)):
+            if _checks.is_whole(getattr(self, name)):
                 object.__setattr__(self, name, int(getattr(self, name)))
 
     def resolved_zone_length(self) -> int:
         return self.zone_length if self.zone_length is not None else 6 * max(self.window_lengths)
 
     def validate(self) -> None:
-        if not self.window_lengths:
-            raise CalibrationError("no window lengths given")
-        for n in self.window_lengths:
-            windows._half_length(n, CalibrationError)
-        if len(set(self.window_lengths)) != len(self.window_lengths):
-            raise CalibrationError("duplicate window lengths")
-        if windows._whole_number(self.dimension, "dimension", CalibrationError) < 1:
-            raise CalibrationError(f"dimension must be at least 1, got {self.dimension}")
-        if windows._whole_number(self.replications, "replications", CalibrationError) < 1:
-            raise CalibrationError("need at least one replication")
-        n_max = max(self.window_lengths)
-        zone = windows._whole_number(self.resolved_zone_length(), "zone_length", CalibrationError)
+        error = CalibrationError
+        n_max = max(_checks.half_lengths(self.window_lengths, error))
+        _checks.whole(self.dimension, "dimension", 1, error)
+        replications = _checks.whole(self.replications, "replications", 1, error)
+        zone = _checks.whole(self.resolved_zone_length(), "zone_length", error=error)
         if zone < 2 * n_max:
-            raise CalibrationError(
-                f"zone length {zone} shorter than the largest window 2x{n_max}"
-            )
-        _checked_seed(self.seed, CalibrationError)
-        if not 0 < self.base_scale < math.inf:
-            raise CalibrationError(f"base_scale must be positive and finite, got {self.base_scale}")
-        if not math.isfinite(self.base_mean):
-            raise CalibrationError(f"base_mean must be finite, got {self.base_mean}")
-        for alpha in _alpha_levels(self.alphas, self.window_lengths, CalibrationError):
-            _quantile_index(self.replications, alpha)
+            raise error(f"zone length {zone} shorter than the largest window 2x{n_max}")
+        _checks.seed(self.seed, error)
+        _checks.positive(self.base_scale, "base_scale", error)
+        _checks.finite(self.base_mean, "base_mean", error=error)
+        for alpha in _alpha_levels(self.alphas, self.window_lengths, error):
+            _quantile_index(replications, alpha)
 
 
 def _alpha_levels(alphas, window_lengths, error=ValueError) -> list[float]:
@@ -159,9 +146,7 @@ def _alpha_levels(alphas, window_lengths, error=ValueError) -> list[float]:
             alpha = alphas.get((kind, n))
             if alpha is None:
                 raise error(f"missing alpha for ({kind}, n={n})")
-            if not (0.0 < alpha < 1.0):
-                raise error(f"alpha for ({kind}, n={n}) not in (0, 1): {alpha}")
-            levels.append(alpha)
+            levels.append(_checks.level(alpha, f"alpha for ({kind}, n={n})", error))
     return levels
 
 
@@ -391,16 +376,14 @@ def calibrate_monte_carlo(config: CalibrationConfig) -> ThresholdTable:
 
 def analytic_threshold_mu(n: int, d: float, alpha: float) -> float:
     """Single-point critical value for the mean ratio at level alpha."""
-    if n < 2:
-        raise ValueError(f"window half-length must be at least 2, got {n}")
+    n, d = _checks.half_length(n), _checks.finite(d, "dimension", least=1)
     q = fisher_upper_quantile(FisherParams(d, 2 * (n - 1) * d), alpha)
     return q / (n - 1) + 2.0
 
 
 def analytic_threshold_sigma(n: int, d: float, alpha: float) -> float:
     """Single-point critical value for either variance ratio at level alpha."""
-    if n < 2:
-        raise ValueError(f"window half-length must be at least 2, got {n}")
+    n, d = _checks.half_length(n), _checks.finite(d, "dimension", least=1)
     k = (n - 1) * d
     return fisher_upper_quantile(FisherParams(k, k), alpha)
 
@@ -411,9 +394,10 @@ def analytic_table(
     alphas: Mapping[tuple[StatKind, int], float],
 ) -> ThresholdTable:
     """Threshold table built from the analytic single-point critical values."""
-    windows = tuple(sorted(window_lengths))
+    lengths = _checks.half_lengths(window_lengths)
+    dimension = _checks.whole(dimension, "dimension", 1)
     entries = []
-    for kind, n in _entry_order(windows):
+    for kind, n in _entry_order(lengths):
         alpha = alphas[(kind, n)]
         if kind is StatKind.MU:
             rho = analytic_threshold_mu(n, dimension, alpha)

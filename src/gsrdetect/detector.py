@@ -26,16 +26,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import windows
+from . import _checks, windows
 from .calibration import ThresholdTable, _alpha_levels, analytic_table
 from .ratios import GsrTriple, StatKind, _gsr_into, compute_gsr
-from .windows import (
-    ObservationWindow,
-    _half_length,
-    _NonFiniteError,
-    _whole_number,
-    sliding_spanning_stats,
-)
+from .windows import ObservationWindow, _NonFiniteError, sliding_spanning_stats
 
 __all__ = [
     "EVENT_KIND",
@@ -63,8 +57,6 @@ def _split_exact(total: float, count: int) -> list[float]:
 
     The last part absorbs the rounding of the equal shares.
     """
-    if count < 1:
-        raise ValueError("cannot split over an empty collection")
     share = total / count
     parts = [share] * (count - 1)
     parts.append(total - math.fsum(parts))
@@ -82,12 +74,9 @@ def allocate_alphas(
     families and each family's share equally over the window lengths; rounding
     is compensated on the last entry so the shares sum back exactly.
     """
-    if not (0.0 < alpha_total < 1.0):
-        raise ValueError(f"alpha_total must be in (0, 1), got {alpha_total}")
-    windows = tuple(windows)
+    _checks.level(alpha_total, "alpha_total")
+    windows = _checks.half_lengths(windows)
     families = tuple(families)
-    if not windows:
-        raise ValueError("empty window set")
     if not families:
         raise ValueError("empty family set")
     alphas: dict[tuple[StatKind, int], float] = {}
@@ -166,22 +155,16 @@ class DetectorConfig:
     cooldown: int | None = None
 
     def __post_init__(self):
-        if not self.windows:
-            raise ValueError("at least one window length is required")
         # Whole floats become ints, as the events and the kernel's indices need.
-        object.__setattr__(self, "windows", tuple(map(_half_length, self.windows)))
-        if len(set(self.windows)) != len(self.windows):
-            raise ValueError("duplicate window lengths")
+        object.__setattr__(self, "windows", _checks.half_lengths(self.windows))
         if self.policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
         if self.cooldown is not None:
-            object.__setattr__(self, "cooldown", _whole_number(self.cooldown, "cooldown"))
-            if self.cooldown < 1:
-                raise ValueError("cooldown must be a positive number of steps")
+            object.__setattr__(self, "cooldown", _checks.whole(self.cooldown, "cooldown", 1))
         if self.alphas is not None:
             _alpha_levels(self.alphas, self.windows)  # raises on a missing or bad level
-        elif not (0.0 < self.alpha_total < 1.0):
-            raise ValueError(f"alpha_total must be in (0, 1), got {self.alpha_total}")
+        else:
+            _checks.level(self.alpha_total, "alpha_total")
 
     def resolved_alphas(self) -> dict[tuple[StatKind, int], float]:
         if self.alphas is not None:
@@ -265,9 +248,7 @@ class Detector:
         dimension: int,
         thresholds: ThresholdTable | None = None,
     ):
-        dimension = _whole_number(dimension, "dimension")
-        if dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {dimension}")
+        dimension = _checks.whole(dimension, "dimension", 1)
         self.config = config
         self.dimension = dimension
         self.thresholds = _resolve_thresholds(config, dimension, thresholds)

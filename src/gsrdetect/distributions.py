@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats
 
-from .windows import _whole_number
+from . import _checks
 
 __all__ = [
     "FisherParams",
@@ -42,9 +42,8 @@ class FisherParams:
     df_den: float
 
     def __post_init__(self):
-        for name, v in (("df_num", self.df_num), ("df_den", self.df_den)):
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        _checks.positive(self.df_num, "df_num")
+        _checks.positive(self.df_den, "df_den")
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,8 @@ class ChiSquareParams:
     noncentrality: float = 0.0
 
     def __post_init__(self):
-        if not (self.df > 0 and math.isfinite(self.df)):
-            raise ValueError(f"df must be positive and finite, got {self.df}")
-        if not (self.noncentrality >= 0 and math.isfinite(self.noncentrality)):
-            raise ValueError(
-                f"noncentrality must be nonnegative and finite, got {self.noncentrality}"
-            )
+        _checks.positive(self.df, "df")
+        _checks.finite(self.noncentrality, "noncentrality", least=0.0)
 
 
 @dataclass(frozen=True)
@@ -71,12 +66,6 @@ class TailValue:
     is_bound: bool = False
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return float(alpha)
-
-
 def fisher_distribution(params: FisherParams):
     """Frozen scipy F distribution for the given degrees of freedom."""
     return stats.f(params.df_num, params.df_den)
@@ -84,7 +73,7 @@ def fisher_distribution(params: FisherParams):
 
 def fisher_upper_quantile(params: FisherParams, alpha: float) -> float:
     """x with P(F_{df_num, df_den} >= x) = alpha."""
-    return float(stats.f.isf(_check_alpha(alpha), params.df_num, params.df_den))
+    return float(stats.f.isf(_checks.level(alpha, "alpha"), params.df_num, params.df_den))
 
 
 def chi2_quantile_upper_bound(params: ChiSquareParams, alpha: float) -> float:
@@ -93,7 +82,7 @@ def chi2_quantile_upper_bound(params: ChiSquareParams, alpha: float) -> float:
     For df D, noncentrality a and tail mass u the bound is
     D + a + 2 sqrt((D + 2a) log(1/u)) + 2 log(1/u).
     """
-    u = _check_alpha(alpha)
+    u = _checks.level(alpha, "alpha")
     d, a = params.df, params.noncentrality
     log_term = math.log(1.0 / u)
     return d + a + 2.0 * math.sqrt((d + 2.0 * a) * log_term) + 2.0 * log_term
@@ -106,7 +95,7 @@ def chi2_upper_quantile(params: ChiSquareParams, alpha: float) -> TailValue:
     bound from :func:`chi2_quantile_upper_bound`, flagged with
     ``is_bound=True``.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _checks.level(alpha, "alpha")
     if params.noncentrality == 0.0:
         return TailValue(float(stats.chi2.isf(alpha, params.df)), is_bound=False)
     return TailValue(chi2_quantile_upper_bound(params, alpha), is_bound=True)
@@ -116,16 +105,11 @@ def derived_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator for (seed, substream...) index tuples.
 
     Independent substreams derived this way can be drawn in any order (or in
-    parallel) with results identical to sequential execution.
+    parallel) with results identical to sequential execution.  The seed is not
+    checked here, as this runs once per replication: the entry points check
+    their seeds once, as whole numbers of at least 0.
     """
     return np.random.default_rng((int(seed),) + tuple(int(s) for s in stream))
-
-
-def _checked_seed(seed, error=ValueError) -> int:
-    """``seed`` as an int for :func:`derived_rng`: a whole number (not a boolean) of at least 0."""
-    if _whole_number(seed, "seed", error) < 0:
-        raise error(f"seed must be nonnegative, got {seed!r}")
-    return int(seed)
 
 
 def gaussian_sample(mean, scale, count: int, seed: int) -> np.ndarray:
@@ -146,8 +130,7 @@ def gaussian_sample(mean, scale, count: int, seed: int) -> np.ndarray:
     -------
     (count, d) ndarray
     """
-    if _whole_number(count, "count") < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    count, seed = _checks.whole(count, "count", 1), _checks.seed(seed)
     mu = np.atleast_1d(np.asarray(mean, dtype=float))
     if mu.ndim != 1:
         raise ValueError("mean must be a scalar or a vector")
@@ -157,7 +140,7 @@ def gaussian_sample(mean, scale, count: int, seed: int) -> np.ndarray:
     if not np.all(np.isfinite(mu)):
         raise ValueError("mean must be finite")
     rng = derived_rng(seed)
-    return mu + sd * rng.standard_normal((int(count), mu.shape[0]))
+    return mu + sd * rng.standard_normal((count, mu.shape[0]))
 
 
 def ks_statistic(samples: Sequence[float], cdf) -> float:

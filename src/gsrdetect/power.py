@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .calibration import _replication_maxima, analytic_threshold_mu
-from .distributions import FisherParams, _checked_seed, derived_rng, fisher_upper_quantile
-from .windows import _half_length, _whole_number
+from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 
 __all__ = [
     "PowerQuery",
@@ -63,22 +63,14 @@ class PowerQuery:
     mean_residual: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"window half-length must be at least 2, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.d}")
-        for name, p in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (0.0 < p < 1.0):
-                raise ValueError(f"{name} must be in (0, 1), got {p}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        for name, v in (
-            ("mean_left", self.mean_left),
-            ("mean_right", self.mean_right),
-            ("mean_residual", self.mean_residual),
-        ):
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+        _checks.half_length(self.n)
+        _checks.whole(self.d, "dimension", 1)
+        _checks.level(self.alpha, "alpha")
+        _checks.level(self.beta, "beta")
+        _checks.positive(self.sigma2, "sigma2")
+        _checks.finite(self.mean_left, "mean_left", least=0.0)
+        _checks.finite(self.mean_right, "mean_right", least=0.0)
+        _checks.finite(self.mean_residual, "mean_residual", least=0.0)
 
 
 def delta_mu(query: PowerQuery) -> float:
@@ -126,12 +118,10 @@ def minimum_radius(n: int, d: int, alpha: float, beta: float, sigma2: float = 1.
     Returns theta(alpha, beta) * sqrt(n d) * sigma^2 with
     theta = sqrt(2 log(1 + 4 (1 - alpha - beta)^2)).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not (0.0 < beta < 1.0 - alpha):
-        raise ValueError(f"beta must be in (0, 1 - alpha), got {beta}")
-    if n < 1 or d < 1 or sigma2 <= 0:
-        raise ValueError("n, d must be positive integers and sigma2 > 0")
+    n, d = _checks.whole(n, "n", 1), _checks.whole(d, "dimension", 1)
+    alpha, sigma2 = _checks.level(alpha, "alpha"), _checks.positive(sigma2, "sigma2")
+    if _checks.level(beta, "beta") >= 1.0 - alpha:
+        raise ValueError(f"beta must be in (0, 1 - alpha), got {beta!r}")
     theta = math.sqrt(2.0 * math.log(1.0 + 4.0 * (1.0 - alpha - beta) ** 2))
     return theta * math.sqrt(n * d) * sigma2
 
@@ -143,15 +133,16 @@ def residual_noncentrality(n: int, shift, sigma: float = 1.0) -> float:
     spanning distance is (2 n sigma^2 times) a noncentral chi-square with
     noncentrality n ||shift||^2 / (2 sigma^2).
     """
+    n, sigma = _checks.half_length(n), _checks.positive(sigma, "sigma")
     delta = np.atleast_1d(np.asarray(shift, dtype=float))
     return n * float(delta @ delta) / (2.0 * sigma * sigma)
 
 
 def shift_for_residual(n: int, d: int, target: float, sigma: float = 1.0) -> np.ndarray:
     """Equal-coordinate mean shift whose residual noncentrality is ``target``."""
-    if target < 0:
-        raise ValueError("target noncentrality must be nonnegative")
-    per_coord = sigma * math.sqrt(2.0 * target / (n * d))
+    n, d = _checks.half_length(n), _checks.whole(d, "dimension", 1)
+    target = _checks.finite(target, "target", least=0.0)
+    per_coord = _checks.positive(sigma, "sigma") * math.sqrt(2.0 * target / (n * d))
     return np.full(d, per_coord)
 
 
@@ -170,14 +161,9 @@ def empirical_power(
     ``shift`` and tests the mean ratio against its analytic critical value at
     level ``alpha``.
     """
-    replications = _whole_number(replications, "replications")
-    if replications < 100:
-        raise ValueError(f"need at least 100 replications, got {replications}")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    n, d = _half_length(n), _whole_number(d, "dimension")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
+    replications = _checks.whole(replications, "replications", 100)
+    sigma = _checks.positive(sigma, "sigma")
+    n, d = _checks.half_length(n), _checks.whole(d, "dimension", 1)
     delta = np.asarray(shift, dtype=float)
     if delta.shape not in ((), (1,), (d,)):
         raise ValueError(
@@ -186,7 +172,7 @@ def empirical_power(
     if not np.all(np.isfinite(delta)):
         raise ValueError("shift must be finite")
     rho = analytic_threshold_mu(n, d, alpha)
-    rng = derived_rng(_checked_seed(seed), 0x90E6)
+    rng = derived_rng(_checks.seed(seed), 0x90E6)
     def draw(lo, slots):
         y = rng.standard_normal(out=slots)
         y *= sigma

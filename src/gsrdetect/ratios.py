@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from . import _checks
 from .windows import SlidingStats, SpanningDecomposition
 
 __all__ = [
@@ -101,26 +102,21 @@ def _gsr_into(w_left, w_right, w_full, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_n_d(n: int, d: float) -> None:
-    if n < 2:
-        raise ValueError(f"window half-length must be at least 2, got {n}")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
-
-
 def null_law_mu(n: int, d: float):
     """Null law of (r_mu - 2) * (n - 1): a frozen F(d, 2(n-1)d) distribution.
 
     ``d`` may be fractional (effective degrees of freedom for unequal
     per-coordinate variances).
     """
-    _check_n_d(n, d)
+    n = _checks.half_length(n)
+    _checks.finite(d, "dimension", least=1)
     return stats.f(d, 2 * (n - 1) * d)
 
 
 def null_law_sigma(n: int, d: float):
     """Null law of r_sigma_+/-: a frozen F((n-1)d, (n-1)d) distribution."""
-    _check_n_d(n, d)
+    n = _checks.half_length(n)
+    _checks.finite(d, "dimension", least=1)
     k = (n - 1) * d
     return stats.f(k, k)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import power
+from . import _checks, power
 from .calibration import (
     CalibrationConfig,
     ThresholdTable,
@@ -29,9 +29,8 @@ from .calibration import (
     calibrate_monte_carlo,
 )
 from .detector import DetectionEvent, DetectorConfig, allocate_alphas, detect_stream
-from .distributions import _checked_seed, derived_rng
+from .distributions import derived_rng
 from .ratios import StatKind
-from .windows import _half_length, _whole_number
 
 __all__ = [
     "Scenario",
@@ -63,19 +62,13 @@ class Scenario:
         # Whole floats become ints, as the draws' shapes and slices need.
         optional = () if self.change_at is None else ("change_at",)
         for name in ("dimension", "length", *optional):
-            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
-        if self.dimension < 1 or self.length < 1:
-            raise ValueError("dimension and length must be positive")
-        if self.change_at is not None and not (1 <= self.change_at <= self.length):
+            object.__setattr__(self, name, _checks.whole(getattr(self, name), name, 1))
+        if self.change_at is not None and self.change_at > self.length:
             raise ValueError(
                 f"change_at={self.change_at} outside stream of length {self.length}"
             )
-        if not math.isfinite(self.mean_shift):
-            raise ValueError(f"mean_shift must be finite, got {self.mean_shift}")
-        if not 0 < self.variance_scale < math.inf:
-            raise ValueError(
-                f"variance_scale must be positive and finite, got {self.variance_scale}"
-            )
+        _checks.finite(self.mean_shift, "mean_shift")
+        _checks.positive(self.variance_scale, "variance_scale")
 
     @property
     def has_change(self) -> bool:
@@ -198,10 +191,9 @@ def run_static_power(
     families.  ``mean_shift=None`` defaults to the dimension-adapted shift
     d^(-1/3) per coordinate.
     """
-    samples = _whole_number(samples, "samples")
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    n, seed = _half_length(n), _checked_seed(seed)
+    samples = _checks.whole(samples, "samples", 100)
+    n, seed = _checks.half_length(n), _checks.seed(seed)
+    _checks.level(alpha, "alpha")
     plain, changed = _scenarios(change, dimension, 2 * n, n + 1, mean_shift, variance_scale)
     dimension = plain.dimension
 
@@ -245,13 +237,10 @@ def run_online_power(
     ``alpha_total``.  With ``return_localization=True`` also returns the
     array of |reported change time - true change time| over detected changes.
     """
-    samples = _whole_number(samples, "samples")
-    if samples < 200:
-        raise ValueError(f"need at least 200 samples, got {samples}")
-    seed = _checked_seed(seed)
-    windows = tuple(sorted(windows))
-    stream_length = _whole_number(stream_length, "stream_length")
-    change_position = _whole_number(change_position, "change_position")
+    samples, seed = _checks.whole(samples, "samples", 200), _checks.seed(seed)
+    windows = tuple(sorted(_checks.half_lengths(windows)))
+    stream_length = _checks.whole(stream_length, "stream_length")
+    change_position = _checks.whole(change_position, "change_position")
     plain, changed = _scenarios(
         change, dimension, stream_length, change_position + 1, mean_shift, variance_scale
     )

@@ -27,12 +27,13 @@ its stream position.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "SpanningDecomposition",
@@ -75,26 +76,6 @@ def _as_observation(y, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("observation contains non-finite values")
     return arr
-
-
-def _is_whole(n) -> bool:
-    """Whether ``n`` is a whole number, and not a boolean."""
-    real = isinstance(n, numbers.Real) and not isinstance(n, (bool, np.bool_))
-    return real and (isinstance(n, numbers.Integral) or float(n).is_integer())
-
-
-def _whole_number(value, name: str, error=ValueError) -> int:
-    """``value`` as an int, when it is a whole number and not a boolean; ``name`` names it."""
-    if not _is_whole(value):
-        raise error(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _half_length(n, error=ValueError) -> int:
-    """``n`` as a window half-length: a whole number (not a boolean) of at least 2."""
-    if _whole_number(n, "window half-length", error) < 2:
-        raise error("window half-length must be at least 2")
-    return int(n)
 
 
 def _stack_rows(observations) -> np.ndarray:
@@ -184,8 +165,8 @@ class ObservationWindow:
     """
 
     def __init__(self, half_length: int, dim: int):
-        self._n = _half_length(half_length)
-        self._d = _whole_number(dim, "dimension")
+        self._n = _checks.half_length(half_length)
+        self._d = _checks.whole(dim, "dimension")
         if self._d < 1:
             raise ValueError("dimension must be at least 1")
         self._obs = deque(maxlen=2 * self._n)  # copies of the observations
@@ -472,17 +453,15 @@ def sliding_spanning_stats(stream, half_length: int | Sequence[int]) -> SlidingS
     are anchored on the first.  Temporaries are O(_BLOCK d) on top of the O(T)
     outputs.
 
-    ``half_length`` is one n, or a sequence of them scanned in one prefix pass
-    per block.  A sequence gives (position, length) distances, one column per
-    n in the order given, on the clocks from ``2 min(n)`` on: column j equals
+    ``half_length`` is one n, or a sequence of distinct ones scanned in one
+    prefix pass per block.  A sequence gives (position, length) distances, one
+    column per n in the order given, on the clocks from ``2 min(n)`` on: column j equals
     ``sliding_spanning_stats(stream, half_length[j])`` bit for bit from row
     ``2 (n_j - min(n))`` on, and reads NaN on the rows before.
     """
     y = _stack_rows(stream)
     single = np.ndim(half_length) == 0
-    lengths = [_half_length(n) for n in ([half_length] if single else half_length)]
-    if not lengths:
-        raise ValueError("at least one window half-length is required")
+    lengths = _checks.half_lengths([half_length] if single else half_length)
     t_len = y.shape[0]
     for n in lengths:
         if t_len < 2 * n:

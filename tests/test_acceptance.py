@@ -279,20 +279,19 @@ def test_criterion_8_engineering_equivalence():
 
     # per-step cost scales (near) linearly in the dimension; the stream length
     # shrinks with d so every run touches the same amount of memory, which
-    # keeps cache behaviour comparable across the d grid
-    def per_step_cost(dim, repeats=4):
-        t_len = 600_000 // dim
-        stream = derived_rng(809, dim).standard_normal((t_len, dim))
-        config = DetectorConfig(windows=(50,), alpha_total=0.05, policy="continue")
-        best = math.inf
-        for _ in range(repeats):
+    # keeps cache behaviour comparable across the d grid.  Each repeat times
+    # every d in turn, so a change of host speed during the measurement
+    # reaches all three alike rather than one d alone.
+    dims = (10, 100, 1000)
+    streams = [derived_rng(809, dim).standard_normal((600_000 // dim, dim)) for dim in dims]
+    config = DetectorConfig(windows=(50,), alpha_total=0.05, policy="continue")
+    best = [math.inf] * len(dims)
+    for _ in range(4):
+        for i, stream in enumerate(streams):
             t0 = time.perf_counter()
             detect_stream(stream, config)
-            best = min(best, time.perf_counter() - t0)
-        return best / t_len
-
-    dims = (10, 100, 1000)
-    costs = [per_step_cost(dim) for dim in dims]
+            best[i] = min(best[i], time.perf_counter() - t0)
+    costs = [b / len(stream) for b, stream in zip(best, streams)]
     slope = float(np.polyfit(np.log(dims), np.log(costs), 1)[0])
     assert 0.8 <= slope <= 1.2, f"log-log slope {slope:.2f} outside [0.8, 1.2]"
     print(

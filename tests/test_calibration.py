@@ -30,7 +30,7 @@ from gsrdetect.calibration import (
 from gsrdetect.detector import allocate_alphas
 from gsrdetect.distributions import derived_rng
 from gsrdetect.power import empirical_power
-from gsrdetect.ratios import StatKind, sliding_gsr
+from gsrdetect.ratios import StatKind, null_law_mu, sliding_gsr
 from gsrdetect.simulate import run_static_power
 from gsrdetect.windows import _NonFiniteError, sliding_spanning_stats
 
@@ -75,6 +75,29 @@ class TestEmpiricalQuantile:
         values = rng.normal(size=500)
         quantiles = [empirical_upper_quantile(values, a) for a in (0.01, 0.05, 0.1, 0.3)]
         assert quantiles == sorted(quantiles, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: null_law_mu(2.5, 3), "^window half-length must be a whole number, got 2.5$"),
+        (lambda: analytic_threshold_sigma(3.5, 2, 0.05),
+         "^window half-length must be a whole number, got 3.5$"),
+        (lambda: analytic_table((2.5,), 2, {(kind, 2.5): 0.02 for kind in StatKind}),
+         "^window half-length must be a whole number, got 2.5$"),
+        (lambda: empirical_upper_quantile(np.arange(100.0), 1.5), r"^alpha not in \(0, 1\): 1.5$"),
+        (lambda: bootstrap_quantile_se(np.arange(100.0), 0.05, seed=1.5),
+         "^seed must be a whole number, got 1.5$"),
+        (lambda: bootstrap_quantile_se(np.arange(100.0), 0.05, seed=True),
+         "^seed must be a whole number, got True$"),
+    ],
+    ids=["null-law-n", "threshold-n", "table-n", "quantile-alpha", "bootstrap-seed",
+         "bootstrap-seed-bool"],
+)
+def test_threshold_entry_points_reject_bad_arguments(call, message):
+    # each once returned a value: at a fractional n's F law, the minimum, or seed 1's
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestMonteCarloCalibration:
@@ -184,7 +207,8 @@ class TestMonteCarloCalibration:
     @pytest.mark.parametrize("n", [5.5, True])
     def test_rejects_fractional_and_boolean_window_lengths(self, n):
         lengths = (4, n)
-        config = _config(window_lengths=lengths, alphas=allocate_alphas(0.15, lengths), zone_length=24)
+        alphas = {(kind, m): 0.025 for kind in StatKind for m in lengths}  # allocate_alphas rejects n
+        config = _config(window_lengths=lengths, alphas=alphas, zone_length=24)
         with pytest.raises(CalibrationError, match="whole number"):
             calibrate_monte_carlo(config)
 

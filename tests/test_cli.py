@@ -580,6 +580,21 @@ class TestPowerCommand:
             values.append(json.loads(capsys.readouterr().out)["delta_mu"])
         assert values[0] > values[1]
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sigma2", "nan", "sigma2 must be positive and finite, got nan"),
+            ("--mean-left", "inf", "mean_left must be finite and at least 0.0, got inf"),
+            ("--mean-right", "nan", "mean_right must be finite and at least 0.0, got nan"),
+        ],
+    )
+    def test_non_finite_separation_exits_2(self, capsys, flag, value, message):
+        # each once exited 0 and wrote NaN or Infinity, which is not JSON
+        argv = ["power", "--quantity", "delta-mu", "--n", "5", "--d", "2", flag, value]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_empirical_power(self, capsys):
         code = main(
             [

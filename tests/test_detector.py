@@ -65,6 +65,21 @@ def _shifted_stream(seed=0, t_len=120, d=4, change_at=61, shift=2.5):
     return y
 
 
+@pytest.mark.parametrize(
+    "windows, message",
+    [
+        ((4, 4), r"^window lengths must be distinct, got \(4, 4\)$"),
+        ((2.5,), "^window half-length must be a whole number, got 2.5$"),
+        ((4, True), "^window half-length must be a whole number, got True$"),
+    ],
+    ids=["repeated", "fractional", "boolean"],
+)
+def test_allocate_alphas_rejects_repeated_fractional_and_boolean_windows(windows, message):
+    # (4, 4) once split 0.06 into levels summing to 0.03, and 2.5 keyed a level on it
+    with pytest.raises(ValueError, match=message):
+        allocate_alphas(0.06, windows)
+
+
 @pytest.mark.parametrize("n", [5.5, 2.9, True])
 def test_config_rejects_fractional_and_boolean_windows(n):
     # 5.5 once scanned n=5 under thresholds of a fractional-n law, at change_at=97.5

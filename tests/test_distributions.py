@@ -127,6 +127,17 @@ class TestGaussianSample:
             gaussian_sample([0.0], 1.0, 3.0, seed=4), gaussian_sample([0.0], 1.0, 3, seed=4)
         )
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(2.7, "^seed must be a whole number, got 2.7$"),
+         (True, "^seed must be a whole number, got True$"),
+         (-1, "^seed must be nonnegative, got -1$")],
+    )
+    def test_seed_must_be_a_nonnegative_whole_number(self, seed, message):
+        # 2.7 once drew as seed 2, and -1 ended in numpy's own message
+        with pytest.raises(ValueError, match=message):
+            gaussian_sample([0.0], 1.0, 3, seed=seed)
+
     def test_derived_rng_substreams_differ(self):
         x = derived_rng(5, 0).standard_normal(4)
         y = derived_rng(5, 1).standard_normal(4)

@@ -141,6 +141,28 @@ class TestMinimumRadius:
                     assert gap > minimum_radius(n, d, 0.05, beta)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _query(n=2.5), "^window half-length must be a whole number, got 2.5$"),
+        (lambda: _query(d=True), "^dimension must be a whole number, got True$"),
+        (lambda: _query(sigma2=math.nan), "^sigma2 must be positive and finite, got nan$"),
+        (lambda: _query(mean_left=math.nan), "^mean_left must be finite and at least 0.0, got nan$"),
+        (lambda: minimum_radius(1.5, True, 0.05, 0.1), "^n must be a whole number, got 1.5$"),
+        (lambda: minimum_radius(5, True, 0.05, 0.1), "^dimension must be a whole number, got True$"),
+        (lambda: minimum_radius(5, 2, 0.05, 0.1, math.nan), "^sigma2 must be positive and finite, got nan$"),
+        (lambda: shift_for_residual(5, 2, math.nan), "^target must be finite and at least 0.0, got nan$"),
+        (lambda: residual_noncentrality(5, [1.0], sigma=0.0), "^sigma must be positive and finite, got 0.0$"),
+    ],
+    ids=["query-n", "query-d", "query-sigma2", "query-mean-left", "radius-n", "radius-d",
+         "radius-sigma2", "shift-target", "residual-sigma"],
+)
+def test_bound_entry_points_reject_bad_arguments(call, message):
+    # each once returned a value (nan for a nan argument), or for sigma=0 a ZeroDivisionError
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestNoncentralityHelpers:
     def test_residual_noncentrality_formula(self):
         # n ||delta||^2 / (2 sigma^2)
@@ -203,6 +225,7 @@ class TestEmpiricalPower:
             ({"shift": math.nan}, "^shift must be finite$"),
             ({"shift": [0.5, -math.inf, 0.5]}, "^shift must be finite$"),
             ({"shift": [0.5, 0.5]}, r"^shift must be a scalar or a vector of length 3, got shape \(2,\)$"),
+            ({"sigma": True}, "^sigma must be positive and finite, got True$"),
         ],
     )
     def test_rejects_non_finite_law_and_misshapen_shift(self, kwargs, message):

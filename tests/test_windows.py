@@ -380,8 +380,9 @@ def test_several_lengths_equal_single_length_calls_bit_for_bit(monkeypatch, d, l
         ((), "at least one window half-length is required"),
         ((3, 1), "window half-length must be at least 2"),
         ((3, 4), "stream of length 7 never warms a 2x4 window"),
+        ((3, 3), "window lengths must be distinct, got (3, 3)"),
     ],
-    ids=["empty", "short", "long"],
+    ids=["empty", "short", "long", "repeated"],
 )
 def test_several_lengths_reject_bad_lengths(lengths, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
