@@ -150,13 +150,29 @@ def _alpha_levels(alphas, window_lengths, error=ValueError) -> list[float]:
     return levels
 
 
+def _table_whole(value, name: str, least: int) -> int:
+    """A threshold table's dimension or window half-length, as an int."""
+    if not _checks.is_whole(value) or value < least:
+        raise ValueError(
+            f"threshold table's {name} must be a whole number of at least {least}, got {value!r}"
+        )
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ThresholdEntry:
+    """One critical value, checked finite: a NaN one would never fire (``stat >= nan``)."""
+
     kind: StatKind
     n: int
     alpha: float
     rho: float
     provenance: str  # "monte_carlo" | "analytic"
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _table_whole(self.n, "n", 2))
+        if not math.isfinite(self.rho):
+            raise ValueError(f"threshold for ({self.kind}, n={self.n}) is not finite: {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +187,7 @@ class ThresholdTable:
     _index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _table_whole(self.dimension, "dimension", 1))
         index = {(e.kind, e.n): e for e in self.entries}
         if len(index) != len(self.entries):
             raise ValueError("duplicate (kind, n) entries in threshold table")
@@ -221,21 +238,18 @@ class ThresholdTable:
             entries = tuple(
                 ThresholdEntry(
                     kind=StatKind(e["kind"]),
-                    n=int(_json_number(e["n"], "n", least=2)),
+                    n=_json_number(e["n"], "n"),
                     alpha=float(_json_number(e["alpha"], "alpha")),
                     rho=float(_json_number(e["rho"], "rho")),
                     provenance=str(e["provenance"]),
                 )
                 for e in doc["entries"]
             )
-            dimension = int(_json_number(doc["dimension"], "dimension", least=1))
+            dimension = _json_number(doc["dimension"], "dimension")
         except KeyError as exc:
             raise ValueError(f"threshold table lacks the field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"threshold table has a field of the wrong type: {exc}") from None
-        for e in entries:
-            if not math.isfinite(e.rho):
-                raise ValueError(f"threshold for ({e.kind}, n={e.n}) is not finite: {e.rho}")
         return cls(
             dimension=dimension,
             entries=entries,
@@ -245,18 +259,10 @@ class ThresholdTable:
         )
 
 
-def _json_number(value, name: str, least: int | None = None):
-    """A number read from a threshold table, a whole one of at least ``least`` if given.
-
-    Booleans and strings are rejected rather than coerced.
-    """
+def _json_number(value, name: str):
+    """A number read from a threshold table: booleans and strings are rejected, not coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"threshold table has a field of the wrong type: {name} is {value!r}")
-    fractional = isinstance(value, float) and not value.is_integer()
-    if least is not None and (fractional or value < least):
-        raise ValueError(
-            f"threshold table's {name} must be a whole number of at least {least}, got {value!r}"
-        )
     return value
 
 

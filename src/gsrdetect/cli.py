@@ -1,8 +1,9 @@
 """Command-line interface: calibrate, detect, simulate, power.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 calibration infeasible
-(requested tail not resolvable from the replication count), 4 incompatibility
-between inputs (stream dimension vs threshold table).
+Exit codes: 0 success, 2 usage or malformed input, 3 calibration settings
+rejected (for example a tail not resolvable from the replication count, or a
+zone shorter than the largest window), 4 incompatibility between inputs
+(stream dimension vs threshold table).
 """
 
 from __future__ import annotations

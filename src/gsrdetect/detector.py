@@ -51,6 +51,9 @@ EVENT_KIND = {
 
 _POLICIES = ("halt", "cooldown", "continue")
 
+# GsrTriple's ratios in StatKind order; getattr is about twice as fast per tick as value_of.
+_RATIO_FIELDS = ("r_mu", "r_sigma_plus", "r_sigma_minus")
+
 
 def _split_exact(total: float, count: int) -> list[float]:
     """Split ``total`` into ``count`` near-equal parts whose sum is exactly ``total``.
@@ -219,18 +222,21 @@ class PooledStatistics(NamedTuple):
 
 def _resolve_thresholds(
     config: DetectorConfig, dimension: int, thresholds: ThresholdTable | None
-) -> ThresholdTable:
+) -> tuple[ThresholdTable, np.ndarray]:
+    """The table tested against, and its thresholds as one (family, window) array.
+
+    Rows follow ``StatKind``, columns the ascending window lengths; building
+    the array raises ``KeyError`` for a pair the table lacks.
+    """
     if thresholds is None:
-        return analytic_table(config.windows, dimension, config.resolved_alphas())
-    if thresholds.dimension != dimension:
+        thresholds = analytic_table(config.windows, dimension, config.resolved_alphas())
+    elif thresholds.dimension != dimension:
         raise ValueError(
             f"threshold table calibrated for dimension {thresholds.dimension}, "
             f"stream has dimension {dimension}"
         )
-    for n in config.windows:
-        for kind in StatKind:
-            thresholds.entry(kind, n)
-    return thresholds
+    lengths = sorted(config.windows)
+    return thresholds, np.array([[thresholds.threshold(k, n) for n in lengths] for k in StatKind])
 
 
 class Detector:
@@ -251,7 +257,8 @@ class Detector:
         dimension = _checks.whole(dimension, "dimension", 1)
         self.config = config
         self.dimension = dimension
-        self.thresholds = _resolve_thresholds(config, dimension, thresholds)
+        self.thresholds, rhos = _resolve_thresholds(config, dimension, thresholds)
+        self._rhos = rhos.tolist()  # per family, one threshold per ascending window
         # Ascending n, so each tick's events come out window-ascending.
         self._windows = {n: ObservationWindow(n, dimension) for n in sorted(config.windows)}
         self._clock = 0
@@ -274,6 +281,16 @@ class Detector:
                 triples[n] = compute_gsr(win.decompose(), self._clock - n + 1)
         return triples
 
+    def _tests(self) -> list[tuple[int, int, float | None, float]]:
+        """(family rank, window, statistic or None, threshold) per warm window, in event order."""
+        # The warm windows are the shortest, so zip takes each family's leading thresholds.
+        triples = self._current_triples().items()
+        return [
+            (rank, n, getattr(triple, field), rho)
+            for rank, (field, rhos) in enumerate(zip(_RATIO_FIELDS, self._rhos))
+            for (n, triple), rho in zip(triples, rhos)
+        ]
+
     def step(self, observation) -> list[DetectionEvent]:
         """Consume one observation and return the events it triggers (often none)."""
         for win in self._windows.values():
@@ -281,17 +298,7 @@ class Detector:
         self._clock += 1  # only once every window has accepted the observation
         if self._clock <= self._quiet_until:
             return []
-
-        hits = []  # (family rank, window, statistic, threshold)
-        triples = self._current_triples()
-        for rank, kind in enumerate(StatKind):
-            for n, triple in triples.items():
-                stat = triple.value_of(kind)
-                if stat is None:
-                    continue
-                rho = self.thresholds.threshold(kind, n)
-                if stat >= rho:
-                    hits.append((rank, n, stat, rho))
+        hits = [(r, n, x, rho) for r, n, x, rho in self._tests() if x is not None and x >= rho]
         if not hits:
             return []
         self._quiet_until = self._clock + self._gap
@@ -303,23 +310,14 @@ class Detector:
         ``max(pooled) >= 0`` exactly when :meth:`step` would have emitted an
         event at this clock tick (under the ``continue`` policy).
         """
-        triples = self._current_triples()
-        if not triples:
+        tests = self._tests()
+        if not tests:
             raise ValueError("no warm window yet")
-        pooled = {}
-        for kind in StatKind:
-            best = -math.inf
-            for n, triple in triples.items():
-                stat = triple.value_of(kind)
-                if stat is None:
-                    continue
-                best = max(best, stat - self.thresholds.threshold(kind, n))
-            pooled[kind] = best
-        return PooledStatistics(
-            t_mu=pooled[StatKind.MU],
-            t_sigma_plus=pooled[StatKind.SIGMA_PLUS],
-            t_sigma_minus=pooled[StatKind.SIGMA_MINUS],
-        )
+        pooled = [-math.inf] * len(StatKind)
+        for rank, _, stat, rho in tests:
+            if stat is not None:
+                pooled[rank] = max(pooled[rank], stat - rho)
+        return PooledStatistics(*pooled)
 
 
 def detect_stream(
@@ -352,11 +350,10 @@ def detect_stream(
         raise ValueError("stream contains non-finite values") from None
     if not lengths and not np.all(np.isfinite(y)):
         raise ValueError("stream contains non-finite values")
-    table = _resolve_thresholds(config, dimension, thresholds)
+    rhos = _resolve_thresholds(config, dimension, thresholds)[1][:, : len(lengths)]
     if not lengths:
         return []
 
-    rhos = np.array([[table.threshold(kind, n) for n in lengths] for kind in StatKind])
     # (window, position) distances, each window's positions contiguous.  A
     # longer window's positions before its first warm one read NaN, so -inf.
     w_left, w_right, w_full = (w.T for w in stats[1:])

@@ -126,6 +126,14 @@ def minimum_radius(n: int, d: int, alpha: float, beta: float, sigma2: float = 1.
     return theta * math.sqrt(n * d) * sigma2
 
 
+def _finite_shift(shift) -> np.ndarray:
+    """``shift`` as a float array, every coordinate finite."""
+    delta = np.asarray(shift, dtype=float)
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("shift must be finite")
+    return delta
+
+
 def residual_noncentrality(n: int, shift, sigma: float = 1.0) -> float:
     """Expected residual separation of a mean shift aligned with the window midpoint.
 
@@ -134,7 +142,7 @@ def residual_noncentrality(n: int, shift, sigma: float = 1.0) -> float:
     noncentrality n ||shift||^2 / (2 sigma^2).
     """
     n, sigma = _checks.half_length(n), _checks.positive(sigma, "sigma")
-    delta = np.atleast_1d(np.asarray(shift, dtype=float))
+    delta = np.atleast_1d(_finite_shift(shift))
     return n * float(delta @ delta) / (2.0 * sigma * sigma)
 
 
@@ -164,13 +172,11 @@ def empirical_power(
     replications = _checks.whole(replications, "replications", 100)
     sigma = _checks.positive(sigma, "sigma")
     n, d = _checks.half_length(n), _checks.whole(d, "dimension", 1)
-    delta = np.asarray(shift, dtype=float)
+    delta = _finite_shift(shift)
     if delta.shape not in ((), (1,), (d,)):
         raise ValueError(
             f"shift must be a scalar or a vector of length {d}, got shape {delta.shape}"
         )
-    if not np.all(np.isfinite(delta)):
-        raise ValueError("shift must be finite")
     rho = analytic_threshold_mu(n, d, alpha)
     rng = derived_rng(_checks.seed(seed), 0x90E6)
     def draw(lo, slots):

@@ -20,17 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _checks, power
+from . import _checks, detector, power
 from .calibration import (
     CalibrationConfig,
     ThresholdTable,
     _replication_maxima,
-    analytic_table,
     calibrate_monte_carlo,
 )
 from .detector import DetectionEvent, DetectorConfig, allocate_alphas, detect_stream
 from .distributions import derived_rng
-from .ratios import StatKind
 
 __all__ = [
     "Scenario",
@@ -165,6 +163,7 @@ def _scenarios(change, dimension, length, change_at, mean_shift, variance_scale)
     """A study's two scenarios: without a change, and with ``change`` from ``change_at`` on."""
     if change not in ("none", "mean", "variance"):
         raise ValueError(f"change must be none|mean|variance, got {change!r}")
+    dimension = _checks.whole(dimension, "dimension", 1)  # before the default shift's power
     shift, scale = 0.0, 1.0
     if change == "mean":
         shift = float(mean_shift) if mean_shift is not None else dimension ** (-1.0 / 3.0)
@@ -197,8 +196,7 @@ def run_static_power(
     plain, changed = _scenarios(change, dimension, 2 * n, n + 1, mean_shift, variance_scale)
     dimension = plain.dimension
 
-    table = analytic_table([n], dimension, allocate_alphas(alpha, [n]))
-    rho = np.array([[table.threshold(kind, n)] for kind in StatKind])
+    rho = detector._resolve_thresholds(DetectorConfig((n,), alpha), dimension, None)[1]
 
     changes = []  # whether each sample carries a change
     def draw(lo, slots):

@@ -343,6 +343,42 @@ class TestTableSerialization:
         with pytest.raises(KeyError):
             table.threshold(StatKind.MU, 9)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ThresholdTable(dimension=2.5, entries=()),
+             "dimension must be a whole number of at least 1, got 2.5"),
+            (lambda: ThresholdTable(dimension=0, entries=()),
+             "dimension must be a whole number of at least 1, got 0"),
+            (lambda: ThresholdTable(dimension=True, entries=()),
+             "dimension must be a whole number of at least 1, got True"),
+            (lambda: ThresholdEntry(StatKind.MU, 4.5, 0.05, 2.5, "analytic"),
+             "n must be a whole number of at least 2, got 4.5"),
+            (lambda: ThresholdEntry(StatKind.MU, 1, 0.05, 2.5, "analytic"),
+             "n must be a whole number of at least 2, got 1"),
+            (lambda: ThresholdEntry(StatKind.MU, True, 0.05, 2.5, "analytic"),
+             "n must be a whole number of at least 2, got True"),
+            (lambda: ThresholdEntry(StatKind.MU, 4, 0.05, math.nan, "analytic"),
+             "threshold for (mu, n=4) is not finite: nan"),
+            (lambda: ThresholdEntry(StatKind.SIGMA_PLUS, 4, 0.05, -math.inf, "analytic"),
+             "threshold for (sigma+, n=4) is not finite: -inf"),
+        ],
+        ids=["dimension-fraction", "dimension-0", "dimension-bool", "n-fraction", "n-below-2",
+             "n-bool", "rho-nan", "rho-minus-inf"],
+    )
+    def test_tables_built_in_code_are_checked(self, build, message):
+        # each was once accepted; a NaN threshold then never fired
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value).endswith(message)
+
+    def test_tables_built_in_code_take_numpy_whole_numbers_as_ints(self):
+        entry = ThresholdEntry(StatKind.MU, np.int32(4), 0.05, 2.5, "analytic")
+        whole_float = ThresholdEntry(StatKind.SIGMA_PLUS, 4.0, 0.05, 1.5, "analytic")
+        table = ThresholdTable(dimension=np.int64(2), entries=(entry, whole_float))
+        assert [type(e.n) for e in table.entries] == [int, int] and type(table.dimension) is int
+        assert table.threshold(StatKind.SIGMA_PLUS, 4) == 1.5
+
 
 def _loop_outcome(draw, count=12, batch=4):
     """Batches of a small replication loop, or the error it ended in, with the thread count after."""

@@ -545,6 +545,11 @@ class TestSimulateCommand:
         assert lines[0].startswith("dimension,window,")
         assert len(lines) == 5
 
+    def test_dimension_zero_exits_2(self, capsys):
+        # once a ZeroDivisionError traceback and exit 1
+        assert main(["simulate", "--mode", "static", "--dim", "0", "--window", "5"]) == EXIT_USAGE
+        assert "dimension must be at least 1, got 0" in capsys.readouterr().err
+
 
 class TestPowerCommand:
     def test_radius_value(self, capsys):

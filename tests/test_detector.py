@@ -251,6 +251,41 @@ class TestDetectorStep:
         with pytest.raises(KeyError):
             Detector(DetectorConfig(windows=(4, 6)), dimension=2, thresholds=table)
 
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["analytic", "monte-carlo"])
+    def test_step_and_pooled_statistics_read_no_table_after_construction(
+        self, monkeypatch, calibrated
+    ):
+        # each tick once looked every (family, window) threshold up in the table
+        table = None
+        if calibrated:
+            alphas = allocate_alphas(0.3, (4, 7))
+            table = calibrate_monte_carlo(
+                CalibrationConfig((4, 7), 2, alphas, zone_length=40, replications=200, seed=1)
+            )
+        config = DetectorConfig(windows=(7, 4), alpha_total=0.3, policy="continue")
+        y = derived_rng(6).standard_normal((120, 2))
+        y[40:] += 2.0
+        y[80:] *= 3.0
+
+        def unreadable(*args):
+            raise AssertionError("threshold table read after construction")
+
+        def run(patched):
+            det = Detector(config, dimension=2, thresholds=table)
+            if patched:
+                monkeypatch.setattr(ThresholdTable, "threshold", unreadable)
+                monkeypatch.setattr(ThresholdTable, "entry", unreadable)
+            events, pooled = [], []
+            for t, row in enumerate(y, start=1):
+                events += det.step(row)
+                if t >= 8:
+                    pooled.append(det.pooled_statistics())
+            return events, pooled
+
+        events, pooled = run(patched=False)
+        assert len(events) > 10 and len(pooled) == len(y) - 7
+        assert run(patched=True) == (events, pooled)
+
 
 class TestPooledStatistics:
     def test_requires_a_warm_window(self):

@@ -153,9 +153,12 @@ class TestMinimumRadius:
         (lambda: minimum_radius(5, 2, 0.05, 0.1, math.nan), "^sigma2 must be positive and finite, got nan$"),
         (lambda: shift_for_residual(5, 2, math.nan), "^target must be finite and at least 0.0, got nan$"),
         (lambda: residual_noncentrality(5, [1.0], sigma=0.0), "^sigma must be positive and finite, got 0.0$"),
+        (lambda: residual_noncentrality(5, [1.0, math.nan]), "^shift must be finite$"),
+        (lambda: residual_noncentrality(5, [math.inf]), "^shift must be finite$"),
     ],
     ids=["query-n", "query-d", "query-sigma2", "query-mean-left", "radius-n", "radius-d",
-         "radius-sigma2", "shift-target", "residual-sigma"],
+         "radius-sigma2", "shift-target", "residual-sigma", "residual-shift-nan",
+         "residual-shift-inf"],
 )
 def test_bound_entry_points_reject_bad_arguments(call, message):
     # each once returned a value (nan for a nan argument), or for sigma=0 a ZeroDivisionError

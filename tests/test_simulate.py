@@ -186,6 +186,11 @@ class TestStaticStudy:
                 run_static_power(5, bad, "mean")
         assert run_static_power(3.0, 5.0, "mean", seed=2) == run_static_power(3, 5, "mean", seed=2)
 
+    def test_dimension_must_be_at_least_one(self):
+        # 0 once raised ZeroDivisionError from the default shift d^(-1/3)
+        with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
+            run_static_power(0, 5, "mean")
+
     @pytest.mark.parametrize(
         "d, n, change, shift, scale, samples, batch",
         [
@@ -280,6 +285,11 @@ class TestOnlineStudy:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError):
             run_online_power(2, samples=100)
+
+    def test_dimension_must_be_at_least_one(self):
+        # 0 once raised ZeroDivisionError from the default shift d^(-1/3)
+        with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
+            run_online_power(0, samples=200)
 
     def test_seed_must_be_a_nonnegative_whole_number(self):
         # 1.5 once drew silently as seed 1
