@@ -21,7 +21,7 @@ _INTEGERS = frozenset({int, np.int64})
 _REALS = _INTEGERS | {float, np.float64}
 
 
-def _is_real(value) -> bool:
+def is_real(value) -> bool:
     """Whether ``value`` is a real number, and not a boolean."""
     return type(value) in _REALS or (
         isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
@@ -31,7 +31,7 @@ def _is_real(value) -> bool:
 def is_whole(value) -> bool:
     """Whether ``value`` is a whole number, and not a boolean."""
     return type(value) in _INTEGERS or (
-        _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+        is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
     )
 
 
@@ -70,7 +70,7 @@ def seed(value, error=ValueError) -> int:
 
 def _as_real(value) -> float:
     """``value`` as a float, or NaN, which fails every rule below, when it is not a real number."""
-    return float(value) if type(value) in _REALS or _is_real(value) else math.nan
+    return float(value) if type(value) in _REALS or is_real(value) else math.nan
 
 
 def level(value, name: str, error=ValueError) -> float:

@@ -161,7 +161,10 @@ def _table_whole(value, name: str, least: int) -> int:
 
 @dataclass(frozen=True)
 class ThresholdEntry:
-    """One critical value, checked finite: a NaN one would never fire (``stat >= nan``)."""
+    """One critical value, checked finite: a NaN one would never fire (``stat >= nan``).
+
+    ``kind`` may be given by its value (``"mu"``); ``alpha`` must lie in (0, 1).
+    """
 
     kind: StatKind
     n: int
@@ -170,9 +173,14 @@ class ThresholdEntry:
     provenance: str  # "monte_carlo" | "analytic"
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", StatKind(self.kind))
         object.__setattr__(self, "n", _table_whole(self.n, "n", 2))
+        pair = f"({self.kind}, n={self.n})"
+        object.__setattr__(self, "alpha", _checks.level(self.alpha, f"alpha for {pair}"))
+        if not _checks.is_real(self.rho):
+            raise ValueError(f"threshold for {pair} is not a real number: {self.rho!r}")
         if not math.isfinite(self.rho):
-            raise ValueError(f"threshold for ({self.kind}, n={self.n}) is not finite: {self.rho}")
+            raise ValueError(f"threshold for {pair} is not finite: {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -301,7 +309,10 @@ def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, dr
     overlap = count > size and size * rows * dim >= _OVERLAP_VALUES and _cpus() > 1
     slot_arrays = [np.empty((size, rows, dim)) for _ in range(1 + overlap)]
     buffers = windows._scan_buffers((rows, size, dim), lengths)
-    ratios = np.empty((len(StatKind), rows - 2 * min(lengths) + 1, size))
+    # (family, position, replication, length), laid out as the scan's distances
+    # are, length before position; a longer n's rows before it warms read -inf.
+    ratios = np.empty((len(StatKind), len(lengths), rows - 2 * min(lengths) + 1, size))
+    ratios = np.moveaxis(ratios, 1, -1)
     with ThreadPoolExecutor(max_workers=1) as helper:
         ahead = None  # the helper's draw of this batch
         for i, lo in enumerate(range(0, count, size)):
@@ -317,12 +328,7 @@ def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, dr
                 ahead = helper.submit(contextvars.copy_context().run, draw, lo + size, after)
             ys = slots.swapaxes(0, 1)  # rows first, as the kernel takes
             stats = windows._window_scan(ys, lengths, [b[:, :live] for b in buffers])
-            maxima = np.empty((len(StatKind), live, len(lengths)))
-            for j, n in enumerate(lengths):
-                col = windows._column(stats, j, n)
-                out = ratios[:, : len(col.clocks), :live]
-                maxima[:, :, j] = _gsr_into(col.w_left, col.w_right, col.w_full, out).max(axis=1)
-            yield maxima
+            yield _gsr_into(*stats[1:], ratios[:, :, :live]).max(axis=1)
 
 
 def _cpus() -> int:

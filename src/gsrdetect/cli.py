@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or malformed input, 3 calibration settings
 rejected (for example a tail not resolvable from the replication count, or a
 zone shorter than the largest window), 4 incompatibility between inputs
-(stream dimension vs threshold table).
+(stream dimension vs. threshold table, or a (family, window) pair the table
+lacks).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .calibration import (
     ThresholdTable,
     calibrate_monte_carlo,
 )
-from .detector import DetectorConfig, allocate_alphas, detect_stream, events_to_jsonl
+from .detector import (
+    DetectorConfig, _resolve_thresholds, allocate_alphas, detect_stream, events_to_jsonl
+)
 from .power import PowerQuery, delta_mu, delta_sigma, empirical_power, minimum_radius
-from .ratios import StatKind
 from .simulate import run_online_power, run_static_power, static_power_grid
 
 __all__ = ["main", "read_stream_csv", "write_stream_csv", "log_returns"]
@@ -273,21 +275,11 @@ def _cmd_detect(args) -> int:
 
     if args.thresholds is not None:
         table = _load_table(args.thresholds)
-        if table.dimension != dimension:
-            raise IncompatibilityError(
-                f"threshold table is for dimension {table.dimension}, "
-                f"input has dimension {dimension}"
-            )
-        windows = args.windows if args.windows else table.window_lengths
-        present = {(e.kind, e.n) for e in table.entries}
-        missing = [f"({k}, n={n})" for n in windows for k in StatKind if (k, n) not in present]
-        if missing:
-            raise IncompatibilityError(f"threshold table lacks {', '.join(missing)}")
+        windows = args.windows or table.window_lengths
+    elif args.windows:
+        table, windows = None, args.windows
     else:
-        table = None
-        if not args.windows:
-            raise InputFormatError("--analytic requires --windows")
-        windows = args.windows
+        raise InputFormatError("--analytic requires --windows")
 
     config = DetectorConfig(
         windows=tuple(windows),
@@ -295,6 +287,11 @@ def _cmd_detect(args) -> int:
         policy=args.policy,
         cooldown=args.cooldown,
     )
+    if table is not None:  # the library's fit check, before the scan
+        try:
+            _resolve_thresholds(config, dimension, table)
+        except (KeyError, ValueError) as exc:
+            raise IncompatibilityError(exc.args[0]) from None
     events = detect_stream(data, config, table)
     _write_text(args.out, events_to_jsonl(events))
     print(f"{len(events)} events in {data.shape[0]} observations (d={dimension})")
@@ -302,56 +299,34 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # The keywords the static study, the online study and the grid share.
+    study = dict(
+        samples=args.samples, seed=args.seed, mean_shift=args.mean_shift,
+        variance_scale=args.variance_scale,
+    )
     if args.mode == "static":
         report = run_static_power(
-            args.dim,
-            args.window,
-            args.change,
-            samples=args.samples,
-            alpha=args.alpha_total,
-            seed=args.seed,
-            mean_shift=args.mean_shift,
-            variance_scale=args.variance_scale,
+            args.dim, args.window, args.change, alpha=args.alpha_total, **study
         )
     else:
         report = run_online_power(
             args.dim,
             windows=args.windows,
             change=args.change,
-            samples=args.samples,
             alpha_total=args.alpha_total,
-            seed=args.seed,
             stream_length=args.stream_length,
             change_position=args.change_position,
-            mean_shift=args.mean_shift,
-            variance_scale=args.variance_scale,
             calibration_replications=args.reps,
+            **study,
         )
     _write_text(args.out, report.to_json())
 
     if args.grid_csv:
         rows = static_power_grid(
-            args.grid_dims,
-            args.grid_windows,
-            args.change,
-            samples=args.samples,
-            alpha=args.alpha_total,
-            seed=args.seed,
-            mean_shift=args.mean_shift,
-            variance_scale=args.variance_scale,
+            args.grid_dims, args.grid_windows, args.change, alpha=args.alpha_total, **study
         )
         with open(args.grid_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "dimension",
-                    "window",
-                    "p_mean",
-                    "fpr",
-                    "accuracy",
-                    "sensitivity",
-                ],
-            )
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     return EXIT_OK

@@ -225,8 +225,9 @@ def _resolve_thresholds(
 ) -> tuple[ThresholdTable, np.ndarray]:
     """The table tested against, and its thresholds as one (family, window) array.
 
-    Rows follow ``StatKind``, columns the ascending window lengths; building
-    the array raises ``KeyError`` for a pair the table lacks.
+    Rows follow ``StatKind``, columns the ascending window lengths.  The one
+    check that a table fits: ``ValueError`` on a dimension mismatch, and
+    building the array raises ``KeyError`` naming every pair the table lacks.
     """
     if thresholds is None:
         thresholds = analytic_table(config.windows, dimension, config.resolved_alphas())
@@ -236,7 +237,13 @@ def _resolve_thresholds(
             f"stream has dimension {dimension}"
         )
     lengths = sorted(config.windows)
-    return thresholds, np.array([[thresholds.threshold(k, n) for n in lengths] for k in StatKind])
+    try:
+        rhos = np.array([[thresholds.threshold(k, n) for n in lengths] for k in StatKind])
+    except KeyError:  # name every missing pair, window by window
+        present = {(e.kind, e.n) for e in thresholds.entries}
+        missing = [f"({k}, n={n})" for n in lengths for k in StatKind if (k, n) not in present]
+        raise KeyError(f"threshold table lacks {', '.join(missing)}") from None
+    return thresholds, rhos
 
 
 class Detector:

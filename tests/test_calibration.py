@@ -362,15 +362,31 @@ class TestTableSerialization:
              "threshold for (mu, n=4) is not finite: nan"),
             (lambda: ThresholdEntry(StatKind.SIGMA_PLUS, 4, 0.05, -math.inf, "analytic"),
              "threshold for (sigma+, n=4) is not finite: -inf"),
+            (lambda: ThresholdEntry(StatKind.MU, 5, 7.5, 2.5, "analytic"),
+             "alpha for (mu, n=5) not in (0, 1): 7.5"),
+            (lambda: ThresholdEntry(StatKind.MU, 5, -1, 2.5, "analytic"),
+             "alpha for (mu, n=5) not in (0, 1): -1"),
+            (lambda: ThresholdEntry(StatKind.MU, 5, 0.01, "3", "x"),
+             "threshold for (mu, n=5) is not a real number: '3'"),
+            (lambda: ThresholdEntry("nu", 5, 0.01, 2.5, "analytic"),
+             "'nu' is not a valid StatKind"),
         ],
         ids=["dimension-fraction", "dimension-0", "dimension-bool", "n-fraction", "n-below-2",
-             "n-bool", "rho-nan", "rho-minus-inf"],
+             "n-bool", "rho-nan", "rho-minus-inf", "alpha-above-1", "alpha-negative",
+             "rho-string", "kind-unknown"],
     )
     def test_tables_built_in_code_are_checked(self, build, message):
         # each was once accepted; a NaN threshold then never fired
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value).endswith(message)
+
+    def test_entry_kind_may_be_given_by_value(self):
+        # once accepted as a string, on which to_json then failed
+        entry = ThresholdEntry("mu", 5, 0.01, 2.5, "analytic")
+        assert entry.kind is StatKind.MU
+        table = ThresholdTable(dimension=2, entries=(entry,))
+        assert ThresholdTable.from_json(table.to_json()) == table
 
     def test_tables_built_in_code_take_numpy_whole_numbers_as_ints(self):
         entry = ThresholdEntry(StatKind.MU, np.int32(4), 0.05, 2.5, "analytic")

@@ -18,6 +18,7 @@ from gsrdetect.cli import (
     write_stream_csv,
 )
 from gsrdetect.distributions import derived_rng
+from gsrdetect.simulate import static_power_grid
 from oracles import parse_outcome, per_cell_csv
 
 
@@ -447,10 +448,12 @@ class TestDetectCommand:
             (lambda doc: _with_n5(doc, 1), "n must be a whole number of at least 2, got 1"),
             (lambda doc: doc | {"dimension": 0},
              "dimension must be a whole number of at least 1, got 0"),
+            (lambda doc: doc | {"entries": [e | {"alpha": 7.5} for e in doc["entries"]]},
+             "alpha for (mu, n=5) not in (0, 1): 7.5"),
         ],
         ids=["entries-int", "entry-list", "top-level-list", "dimension-null", "rho-nan", "rho-inf",
              "rho-bool", "alpha-bool", "n-bool", "dimension-bool", "n-fraction", "n-below-2",
-             "dimension-below-1"],
+             "dimension-below-1", "alpha-above-1"],
     )
     def test_table_wrong_shape_exits_2(self, tmp_path, calibrated_table, capsys, reshape, message):
         table = tmp_path / "shape.json"
@@ -466,6 +469,26 @@ class TestDetectCommand:
             ["detect", "--input", str(stream), "--thresholds", str(calibrated_table)]
         )
         assert code == EXIT_INCOMPATIBLE
+
+    def test_dimension_mismatch_reports_the_library_message(self, tmp_path, calibrated_table,
+                                                            capsys):
+        stream = self._stream_csv(tmp_path, d=3)
+        code = main(["detect", "--input", str(stream), "--thresholds", str(calibrated_table)])
+        assert code == EXIT_INCOMPATIBLE
+        assert "calibrated for dimension 2, stream has dimension 3" in capsys.readouterr().err
+
+    def test_missing_window_names_every_pair(self, tmp_path, calibrated_table, capsys):
+        code = main(["detect", "--input", str(self._stream_csv(tmp_path)),
+                     "--thresholds", str(calibrated_table), "--windows", "7"])
+        assert code == EXIT_INCOMPATIBLE
+        err = capsys.readouterr().err
+        assert "threshold table lacks (mu, n=7), (sigma+, n=7), (sigma-, n=7)" in err
+
+    def test_bad_flag_is_reported_before_the_table_fit(self, tmp_path, calibrated_table, capsys):
+        code = main(["detect", "--input", str(self._stream_csv(tmp_path)),
+                     "--thresholds", str(calibrated_table), "--windows", "7,7"])
+        assert code == EXIT_USAGE
+        assert "window lengths must be distinct" in capsys.readouterr().err
 
     def test_malformed_csv_exits_2(self, tmp_path, calibrated_table, capsys):
         f = tmp_path / "bad.csv"
@@ -544,6 +567,15 @@ class TestSimulateCommand:
         lines = grid.read_text().splitlines()
         assert lines[0].startswith("dimension,window,")
         assert len(lines) == 5
+
+    def test_grid_header_is_the_grid_rows_keys(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        code = main(["simulate", "--mode", "static", "--dim", "2", "--window", "5",
+                     "--samples", "100", "--out", str(tmp_path / "report.json"),
+                     "--grid-csv", str(grid), "--grid-dims", "1", "--grid-windows", "5"])
+        assert code == 0
+        header = grid.read_text().splitlines()[0]
+        assert header == ",".join(static_power_grid((1,), (5,), "mean", samples=100)[0])
 
     def test_dimension_zero_exits_2(self, capsys):
         # once a ZeroDivisionError traceback and exit 1

@@ -251,6 +251,17 @@ class TestDetectorStep:
         with pytest.raises(KeyError):
             Detector(DetectorConfig(windows=(4, 6)), dimension=2, thresholds=table)
 
+    def test_missing_pairs_are_all_named(self):
+        # once only the first missing pair, (mu, n=6), was named
+        table = analytic_table((4,), 2, allocate_alphas(0.06, (4,)))
+        lacks = "threshold table lacks (mu, n=6), (sigma+, n=6), (sigma-, n=6)"
+        with pytest.raises(KeyError) as exc:
+            Detector(DetectorConfig(windows=(4, 6)), dimension=2, thresholds=table)
+        assert exc.value.args[0] == lacks
+        with pytest.raises(KeyError) as exc:
+            detect_stream(np.zeros((20, 2)), DetectorConfig(windows=(6, 4)), table)
+        assert exc.value.args[0] == lacks
+
     @pytest.mark.parametrize("calibrated", [False, True], ids=["analytic", "monte-carlo"])
     def test_step_and_pooled_statistics_read_no_table_after_construction(
         self, monkeypatch, calibrated
