@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextvars
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -306,7 +305,7 @@ def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, dr
     made is dropped.
     """
     size = min(batch, count)
-    overlap = count > size and size * rows * dim >= _OVERLAP_VALUES and _cpus() > 1
+    overlap = count > size and size * rows * dim >= _OVERLAP_VALUES and windows._cpus() > 1
     slot_arrays = [np.empty((size, rows, dim)) for _ in range(1 + overlap)]
     buffers = windows._scan_buffers((rows, size, dim), lengths)
     # (family, position, replication, length), laid out as the scan's distances
@@ -329,14 +328,6 @@ def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, dr
             ys = slots.swapaxes(0, 1)  # rows first, as the kernel takes
             stats = windows._window_scan(ys, lengths, [b[:, :live] for b in buffers])
             yield _gsr_into(*stats[1:], ratios[:, :, :live]).max(axis=1)
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], np.ndarray]:

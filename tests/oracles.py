@@ -5,7 +5,8 @@ enumeration (directly or via scipy's pdist), never through the running-sum
 identity the package uses, so agreement is evidence rather than tautology.
 ``per_cell_csv`` reads a stream CSV with ``csv`` and ``float`` alone, never
 through numpy's text parser.  ``replication_overlap`` holds calibration's
-replication loop on one of its two paths, so the paths can be compared.
+replication loop on one of its two paths, and ``scan_split`` the stream
+scan on one of its two, so the paths can be compared.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from unittest import mock
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from gsrdetect import calibration
+from gsrdetect import calibration, windows
 from gsrdetect.cli import InputFormatError
 
 
@@ -29,6 +30,16 @@ def replication_overlap(on: bool):
     """Run every batch of ``calibration._replication_maxima`` after the first on
     its helper thread (``on``), whatever the batch size and the CPUs, or none."""
     with mock.patch.object(calibration, "_OVERLAP_VALUES", 0 if on else math.inf):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+            yield
+
+
+@contextmanager
+def scan_split(on: bool):
+    """Scan the second half of a single stream's blocks in ``windows._window_scan`` on
+    its helper thread (``on``) whenever there are two blocks or more, whatever the
+    block size and the CPUs, or scan every block on the calling thread."""
+    with mock.patch.object(windows, "_SPLIT_VALUES", 0 if on else math.inf):
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
             yield
 

@@ -29,6 +29,8 @@ from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
 from gsrdetect.windows import _BLOCK, ObservationWindow, sliding_spanning_stats
 
+from oracles import scan_split
+
 
 class TestAllocateAlphas:
     def test_equal_nine_way_split_sums_exactly(self):
@@ -548,6 +550,19 @@ class TestDetectStreamBlocks:
         y[row, 0] = bad
         with pytest.raises(ValueError, match="^stream contains non-finite values$"):
             detect_stream(y, config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("rows", [(5,), (60,), (5, 60)], ids=["caller", "helper", "both"])
+    def test_rejects_non_finite_in_either_share_of_a_split_scan(self, monkeypatch, bad, rows):
+        # Blocks of 16 window positions at n = 2 and 3 on 67 rows: the calling
+        # thread scans rows 0-36 and the helper thread rows 32-66.
+        monkeypatch.setattr(windows_module, "_BLOCK", 16)
+        y = derived_rng(13).standard_normal((67, 2))
+        y[list(rows), 1] = bad
+        with scan_split(True), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^stream contains non-finite values$"):
+                detect_stream(y, DetectorConfig(windows=(2, 3)))
 
     def test_rejects_non_finite_in_stream_too_short_to_scan(self):
         config = DetectorConfig(windows=(5,))

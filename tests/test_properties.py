@@ -1,8 +1,9 @@
 """Generated-input equivalences between the batch kernel's callers and the step path,
 and between the CSV reader's vectorised parse and its cell-by-cell reference.
 
-Blocks are shortened to 16 window positions, so streams of a few dozen rows
-cross several anchors; every caller reads ``windows._BLOCK`` at call time.
+Blocks are shortened to 16 window positions (16 to 64 where a stream's scan
+is split between two threads), so streams of a few dozen rows cross several
+anchors; every caller reads ``windows._BLOCK`` at call time.
 """
 
 from unittest import mock
@@ -25,7 +26,7 @@ from gsrdetect.detector import Detector, DetectorConfig, detect_stream
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
 from gsrdetect.windows import _column, _window_scan, sliding_spanning_stats
-from oracles import parse_outcome, replication_overlap
+from oracles import parse_outcome, replication_overlap, scan_split
 
 BLOCK = 16
 LEVELS = (-1e4, -3.0, 0.5, 100.0, 1e6)
@@ -47,13 +48,14 @@ def window_sets(draw, largest=9):
 
 
 @st.composite
-def streams(draw, batched=False):
-    """(stream, window lengths): Gaussian rows with level offsets and constant stretches.
+def streams(draw, batched=False, block=BLOCK):
+    """(stream, window lengths): Gaussian rows with level offsets and constant stretches,
+    over at most four blocks of ``block`` window positions.
 
     A batched stream is (T, B, d), B streams side by side.
     """
     lengths = draw(window_sets())
-    t_len = draw(st.integers(2 * max(lengths), 4 * BLOCK + 2 * max(lengths)))
+    t_len = draw(st.integers(2 * max(lengths), 4 * block + 2 * max(lengths)))
     batch = (draw(st.integers(1, 3)),) if batched else ()
     shape = (t_len, *batch, draw(st.integers(1, 20)))
     y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
@@ -183,6 +185,38 @@ def test_step_equals_detect_stream(case, policy, cooldown, alpha_total, ties):
     table = None if ties is None else _tie_table(y, lengths, ties)
     detector = Detector(config, y.shape[1], table)
     assert [e for row in y for e in detector.step(row)] == detect_stream(y, config, table)
+
+
+@st.composite
+def blocked_streams(draw):
+    """(block, stream, window lengths): a stream over at most four blocks of 16 to 64."""
+    block = draw(st.integers(BLOCK, 4 * BLOCK))
+    return (block, *draw(streams(block=block)))
+
+
+@_settings(150)
+@given(
+    case=blocked_streams(),
+    policy=st.sampled_from(("halt", "cooldown", "continue")),
+    ties=st.none() | st.integers(0, 10_000),
+)
+def test_split_scan_equals_serial_scan(case, policy, ties):
+    # The helper thread scans the second half of the blocks whenever there are two.
+    block, y, lengths = case
+    config = DetectorConfig(lengths, alpha_total=0.3, policy=policy)
+    with mock.patch.object(windows_module, "_BLOCK", block):
+        table = None if ties is None else _tie_table(y, lengths, ties)
+        outcomes = []
+        for on in (False, True):
+            with scan_split(on):
+                scans = [sliding_spanning_stats(y, n) for n in (*lengths, lengths)]
+                outcomes.append((scans, detect_stream(y, config, table)))
+        detector = Detector(config, y.shape[1], table)
+        stepped = [e for row in y for e in detector.step(row)]
+    (serial, serial_events), (split, split_events) = outcomes
+    for want, got in zip(serial, split):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
+    assert split_events == serial_events == stepped
 
 
 HOSTILE_CELLS = (

@@ -1,6 +1,8 @@
 """Spanning distances, the sliding window, and the vectorised batch path."""
 
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from gsrdetect.windows import (
     spanning_distance,
 )
 
-from oracles import naive_decomposition, pairwise_spanning, pairwise_spanning_fast
+from oracles import naive_decomposition, pairwise_spanning, pairwise_spanning_fast, scan_split
 
 
 def test_spanning_distance_three_points():
@@ -445,6 +447,70 @@ def test_sliding_spanning_stats_rejects_non_finite_in_any_block(bad, where):
     stream[row, 1] = bad
     with pytest.raises(ValueError, match="^observations contain non-finite values$"):
         sliding_spanning_stats(stream, n)
+
+
+@pytest.mark.parametrize(
+    "cpus, values, shape, split",
+    [  # blocks of 16 window positions at n = 2: 19 rows, 57 values at d = 3
+        pytest.param({0, 1}, 57, (67, 3), True, id="at-threshold"),
+        pytest.param({0, 1}, 58, (67, 3), False, id="below-threshold"),
+        pytest.param({0}, 0, (67, 3), False, id="one-cpu"),
+        pytest.param({0, 1}, 0, (19, 3), False, id="one-block"),
+        pytest.param({0, 1}, 0, (67, 2, 3), False, id="batched"),
+    ],
+)
+def test_stream_blocks_split_only_where_it_pays(monkeypatch, cpus, values, shape, split):
+    monkeypatch.setattr(windows_module, "_BLOCK", 16)
+    monkeypatch.setattr(windows_module, "_SPLIT_VALUES", values)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    scans, blocks = [], windows_module._blocks
+
+    def recorded(y, starts, *rest, **stop):
+        scans.append((threading.current_thread(), list(starts)))
+        blocks(y, starts, *rest, **stop)
+
+    monkeypatch.setattr(windows_module, "_blocks", recorded)
+    _window_scan(np.random.default_rng(8).normal(size=shape), (2,))
+    caller = threading.current_thread()
+    mine = [starts for thread, starts in scans if thread is caller]
+    helpers = [starts for thread, starts in scans if thread is not caller]
+    starts = list(range(0, shape[0] - 3, 16))
+    assert (mine, helpers) == (([starts[:2]], [starts[2:]]) if split else ([starts], []))
+
+
+def test_error_in_the_callers_share_stops_the_helper(monkeypatch):
+    monkeypatch.setattr(windows_module, "_BLOCK", 16)
+    threads, anchored, blocks = [], windows_module._anchored_block, windows_module._blocks
+
+    def recorded(block, *sums):
+        threads.append(threading.current_thread())
+        return anchored(block, *sums)
+
+    def late(*args, stop=None):
+        if stop is not None:  # the helper starts once the caller's half has had time to fail
+            stop.wait(5)
+        blocks(*args, stop=stop)
+
+    monkeypatch.setattr(windows_module, "_anchored_block", recorded)
+    monkeypatch.setattr(windows_module, "_blocks", late)
+    y = np.random.default_rng(10).normal(size=(67, 3))
+    y[5, 1] = np.nan
+    with scan_split(True), pytest.raises(_NonFiniteError):
+        _window_scan(y, (2,))
+    assert threads == [threading.current_thread()]
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1 keeps errstate per thread"
+)
+@pytest.mark.parametrize("on", [False, True])
+def test_helper_scans_under_the_callers_numpy_error_state(monkeypatch, on):
+    monkeypatch.setattr(windows_module, "_BLOCK", 16)
+    y = np.random.default_rng(9).normal(size=(67, 3))
+    y[48], y[60] = -1e308, 1e308  # in the helper's share, row 60 less its anchor overflows
+    with scan_split(on), np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            sliding_spanning_stats(y, 2)
 
 
 # Rows of 511, 512 and 513 values in S1 and in S2, either side of the row-wise sums' threshold.
