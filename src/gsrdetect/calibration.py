@@ -6,9 +6,10 @@ length, record the per-replication maximum of each ratio statistic, and take
 the empirical upper quantile of the K maxima.  Scanning the maximum over the
 zone absorbs the dependence between overlapping windows that a single-point
 quantile would ignore.  Replication k is drawn from the generator derived from
-(seed, k), whatever the batching; batches of replications go through the
-batch kernel together, one prefix pass per block for every window length,
-and a large batch is scanned while a helper thread draws the next.
+(seed, k), whatever the batching; batches of replications, each holding
+about ``_BATCH_VALUES`` values, go through the batch kernel together, one
+prefix pass per block for every window length, and each batch is scanned
+while a helper thread draws the next.
 
 Analytic path: single-point critical values from the pivotal F laws,
   mean:     rho = F^{-1}(alpha; d, 2(n-1)d) / (n-1) + 2
@@ -49,6 +50,12 @@ __all__ = [
 TABLE_FORMAT_VERSION = 1
 
 DEFAULT_REPLICATIONS = 2000
+
+# Values per batch of the replication loop (see _batch_size).  Against 2^17,
+# in alternating in-process runs on a 2-CPU host: 2^16 took 1.02-1.32x the
+# time of a d=8 calibration (K=2000, zone 100) and 1.04x of the 18 power cells;
+# 2^18 took 0.90-0.92x of the calibration but 1.12x of the power cells.
+_BATCH_VALUES = 2**17
 
 # Values per batch from which the replication loop draws the next batch on a
 # helper thread while it scans the current one (see _replication_maxima).
@@ -279,6 +286,12 @@ def _entry_order(window_lengths: Iterable[int]):
             yield kind, n
 
 
+def _batch_size(rows: int, dim: int) -> int:
+    """Replications of ``rows`` x ``dim`` values per batch: at most ``_BATCH_VALUES``
+    values, or one replication when a single one holds more."""
+    return max(1, _BATCH_VALUES // (rows * dim))
+
+
 def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, draw):
     """The replication loop of calibration and the static studies, one batch at a time.
 
@@ -302,7 +315,9 @@ def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, dr
     the calling thread.  A draw's error is raised on the calling thread when
     its batch is due.  The helper is joined on every way out of the loop; when
     the loop stops early, the outcome of a draw the serial loop would not have
-    made is dropped.
+    made is dropped.  Batches sized by :func:`_batch_size` hold more than
+    ``_BATCH_VALUES / 2`` values, so every caller's loop of two batches or more
+    overlaps.
     """
     size = min(batch, count)
     overlap = count > size and size * rows * dim >= _OVERLAP_VALUES and windows._cpus() > 1
@@ -338,22 +353,22 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
     computed from the same maxima.  Replication k draws its Gaussian sequence
     from the generator derived from (seed, k), so the result is independent of
     replication order and reproducible run to run.  Replications are scanned
-    in batches of about one kernel block of rows by :func:`_replication_maxima`,
-    each drawn, scaled and shifted in place in its slot.
+    in batches of about ``_BATCH_VALUES`` values by :func:`_replication_maxima`,
+    each replication drawn in place in its slot, and each batch then scaled and
+    shifted as a whole.
     """
     config.validate()
     lengths = tuple(sorted(config.window_lengths))
-    n_zone, k_reps = config.resolved_zone_length(), config.replications
+    n_zone, k_reps, dim = config.resolved_zone_length(), config.replications, config.dimension
 
     def draw(lo, slots):
         for k, slot in enumerate(slots, lo):
-            # base_mean + base_scale * z, bit for bit, without temporaries
-            z = derived_rng(config.seed, k).standard_normal(out=slot)
-            z *= config.base_scale
-            z += config.base_mean
+            derived_rng(config.seed, k).standard_normal(out=slot)
+        # base_mean + base_scale * z, bit for bit, without temporaries
+        slots *= config.base_scale
+        slots += config.base_mean
 
-    batch = max(1, windows._BLOCK // n_zone)
-    batches = _replication_maxima(k_reps, n_zone, config.dimension, lengths, batch, draw)
+    batches = _replication_maxima(k_reps, n_zone, dim, lengths, _batch_size(n_zone, dim), draw)
     maxima = np.concatenate(list(batches), axis=1).transpose(0, 2, 1)  # (kind, n, k)
     return dict(zip(_entry_order(lengths), maxima.reshape(-1, k_reps)))
 

@@ -9,8 +9,9 @@ sqrt(n d) * sigma^2 no level-alpha test can reach power 1 - beta.
 
 ``empirical_power`` and the static study in :mod:`gsrdetect.simulate` run the
 replication loop of Monte Carlo calibration (``calibration._replication_maxima``)
-on ``_STATIC_BATCH`` 2n-windows at a time, each anchored on its own first row;
-each keeps only its draw and its reduction of the ratios.
+on as many 2n-windows at a time as hold ``calibration._BATCH_VALUES`` values,
+each anchored on its own first row; each keeps only its draw and its reduction
+of the ratios.
 
 Separations are expressed as noncentralities of the scaled chi-square laws of
 the spanning distances.  For a pure mean shift of delta aligned with the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .calibration import _replication_maxima, analytic_threshold_mu
+from .calibration import _batch_size, _replication_maxima, analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 
 __all__ = [
@@ -39,9 +40,6 @@ __all__ = [
     "shift_for_residual",
     "empirical_power",
 ]
-
-_STATIC_BATCH = 512  # windows per kernel call in the static studies; bounds memory
-
 
 @dataclass(frozen=True)
 class PowerQuery:
@@ -184,5 +182,5 @@ def empirical_power(
         y *= sigma
         y[:, n:, :] += delta
 
-    batches = _replication_maxima(replications, 2 * n, d, (n,), _STATIC_BATCH, draw)
+    batches = _replication_maxima(replications, 2 * n, d, (n,), _batch_size(2 * n, d), draw)
     return sum(int(np.count_nonzero(r[0] >= rho)) for r in batches) / replications

@@ -3,7 +3,8 @@
 Two study designs are provided.  The *static* study draws samples of exactly
 one window (2n observations) with a change at the midpoint in half of the
 samples and applies the single-point test with analytic thresholds, on
-calibration's replication loop as :mod:`gsrdetect.power` describes.  The
+calibration's replication loop as :mod:`gsrdetect.power` describes: as many
+windows at a time as hold ``calibration._BATCH_VALUES`` values.  The
 *online* study draws full streams, runs the multi-window detector with Monte
 Carlo calibrated thresholds and classifies each stream by whether any event
 was reported.  Each study builds its two scenarios once, and each sample's own
@@ -20,10 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _checks, detector, power
+from . import _checks, detector
 from .calibration import (
     CalibrationConfig,
     ThresholdTable,
+    _batch_size,
     _replication_maxima,
     calibrate_monte_carlo,
 )
@@ -206,7 +208,8 @@ def run_static_power(
             slot[...] = scenario.sample(rng)
             changes.append(scenario.has_change)
 
-    batches = _replication_maxima(samples, 2 * n, dimension, (n,), power._STATIC_BATCH, draw)
+    batch = _batch_size(2 * n, dimension)
+    batches = _replication_maxima(samples, 2 * n, dimension, (n,), batch, draw)
     detected = np.concatenate([np.any(r[..., 0] >= rho, axis=0) for r in batches])
     return _report_from_labels(list(map(_confusion_label, changes, detected.tolist())))
 

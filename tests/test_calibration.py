@@ -274,6 +274,8 @@ def test_batched_maxima_equal_per_replication_scans(
     monkeypatch, block, d, zone, lengths, reps, base
 ):
     monkeypatch.setattr(windows_module, "_BLOCK", block)
+    # batches of max(1, block // zone) replications, the sizes the comments name
+    monkeypatch.setattr(calibration_module, "_BATCH_VALUES", max(1, block // zone) * zone * d)
     config = _config(
         window_lengths=lengths,
         dimension=d,
@@ -287,6 +289,67 @@ def test_batched_maxima_equal_per_replication_scans(
     assert got.keys() == want.keys()
     for key, values in want.items():
         assert np.array_equal(got[key], values), key
+
+
+def _zone_config(d, replications, alpha=0.5, lengths=(20, 35, 50)):
+    alphas = {(kind, n): alpha for kind in StatKind for n in lengths}
+    return _config(window_lengths=lengths, dimension=d, alphas=alphas, zone_length=100,
+                   replications=replications, seed=21)
+
+
+class TestBatchSize:
+    """Every replication batch holds as many replications as fit in ``_BATCH_VALUES`` values."""
+
+    @pytest.mark.parametrize(
+        "run, sizes",
+        [
+            pytest.param(lambda: calibration_maxima(_zone_config(8, 400)), [163, 163, 74],
+                         id="calibration-d8"),
+            pytest.param(lambda: calibration_maxima(_zone_config(100, 30)), [13, 13, 4],
+                         id="calibration-d100"),
+            # one replication of 140 000 values per batch
+            pytest.param(lambda: calibration_maxima(_zone_config(1400, 2)), [1, 1],
+                         id="calibration-d1400"),
+            pytest.param(lambda: empirical_power(10, 5, 0.05, 0.3, replications=3000),
+                         [1310, 1310, 380], id="empirical-power"),
+            pytest.param(lambda: run_static_power(4, 10, "mean", samples=2000),
+                         [1638, 362], id="static-study"),
+        ],
+    )
+    def test_batches_are_sized_by_their_values(self, monkeypatch, run, sizes):
+        shapes, scan = [], windows_module._window_scan
+
+        def spy(ys, lengths, buffers=None):
+            shapes.append(ys.shape)  # (rows, replications, dim)
+            return scan(ys, lengths, buffers)
+
+        monkeypatch.setattr(windows_module, "_window_scan", spy)
+        run()
+        assert [live for _, live, _ in shapes] == sizes
+        limit = calibration_module._BATCH_VALUES
+        for rows, live, dim in shapes:
+            assert live * rows * dim <= limit or live == 1
+        rows, size, dim = shapes[0]
+        assert (size + 1) * rows * dim > limit  # no room for one more
+
+    def test_small_dimension_draws_on_the_helper_thread(self):
+        # d=8, zone 100: batches of 163 replications, the next drawn while one is scanned
+        config = _zone_config(8, 400, alpha=0.01)
+        threads, derive = [], calibration_module.derived_rng
+
+        def spy(seed, *stream):
+            threads.append(threading.current_thread())
+            return derive(seed, *stream)
+
+        with mock.patch.object(calibration_module, "derived_rng", spy):
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+                table = calibrate_monte_carlo(config)
+        caller = threading.current_thread()
+        assert [t is caller for t in threads] == [True] * 163 + [False] * 237
+        want = _maxima_oracle(config)
+        for kind, n in want:
+            alpha = config.alphas[(kind, n)]
+            assert table.threshold(kind, n) == empirical_upper_quantile(want[(kind, n)], alpha)
 
 
 class TestAnalyticThresholds:

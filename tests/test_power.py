@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import naive_decomposition
 
-import gsrdetect.power as power_module
+import gsrdetect.calibration as calibration_module
 import gsrdetect.windows as windows_module
 from gsrdetect.calibration import _replication_maxima, analytic_threshold_mu
 from gsrdetect.distributions import FisherParams, derived_rng, fisher_upper_quantile
@@ -255,7 +255,7 @@ class TestEmpiricalPower:
             pytest.param(3, 1, 2.2, 120, None, id="3-1-2.2-120"),
             pytest.param(3, 4, 1.2, 120, None, id="3-4-1.2-120"),
             pytest.param(10, 1, 1.0, 120, None, id="10-1-1.0-120"),
-            pytest.param(10, 4, 0.6, 600, None, id="10-4-0.6-600"),
+            pytest.param(10, 4, 0.6, 600, 512, id="10-4-0.6-600"),  # two batches
             # Batches of one window, and of 7 with a short last batch (120 = 17 * 7 + 1).
             pytest.param(3, 4, 1.2, 120, 1, id="3-4-1.2-120-batch1"),
             pytest.param(3, 4, 1.2, 120, 7, id="3-4-1.2-120-batch7"),
@@ -263,7 +263,7 @@ class TestEmpiricalPower:
     )
     def test_rate_matches_pairwise_oracle(self, monkeypatch, n, d, shift, reps, batch):
         if batch is not None:
-            monkeypatch.setattr(power_module, "_STATIC_BATCH", batch)
+            monkeypatch.setattr(calibration_module, "_BATCH_VALUES", batch * 2 * n * d)
         alpha, seed = 0.05, 14
         rho = analytic_threshold_mu(n, d, alpha)
         # One draw of every replication equals the function's batched draws.

@@ -3,7 +3,8 @@ and between the CSV reader's vectorised parse and its cell-by-cell reference.
 
 Blocks are shortened to 16 window positions (16 to 64 where a stream's scan
 is split between two threads), so streams of a few dozen rows cross several
-anchors; every caller reads ``windows._BLOCK`` at call time.
+anchors; every caller reads ``windows._BLOCK`` at call time.  Calibration's
+replication batches are shortened to as many zones as span 16 rows.
 """
 
 from unittest import mock
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsrdetect import calibration as calibration_module
 from gsrdetect import windows as windows_module
 from gsrdetect.calibration import (
     CalibrationConfig,
@@ -112,7 +114,9 @@ def test_batched_maxima_equal_per_replication_scans(
         base_mean=base_mean,
         base_scale=base_scale,
     )
-    got = calibration_maxima(config)
+    zone = config.zone_length
+    with mock.patch.object(calibration_module, "_BATCH_VALUES", max(1, BLOCK // zone) * zone * d):
+        got = calibration_maxima(config)
     for k in range(reps):
         rng = derived_rng(seed, k)
         y = base_mean + base_scale * rng.standard_normal((config.zone_length, d))
