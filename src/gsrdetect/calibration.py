@@ -8,8 +8,8 @@ zone absorbs the dependence between overlapping windows that a single-point
 quantile would ignore.  Replication k is drawn from the generator derived from
 (seed, k), whatever the batching; batches of replications, each holding
 about ``_BATCH_VALUES`` values, go through the batch kernel together, one
-prefix pass per block for every window length, and each batch is scanned
-while a helper thread draws the next.
+prefix pass per block for every window length, and on more than one CPU each
+batch is scanned while a helper thread draws the next.
 
 Analytic path: single-point critical values from the pivotal F laws,
   mean:     rho = F^{-1}(alpha; d, 2(n-1)d) / (n-1) + 2
@@ -51,15 +51,11 @@ TABLE_FORMAT_VERSION = 1
 
 DEFAULT_REPLICATIONS = 2000
 
-# Values per batch of the replication loop (see _batch_size).  Against 2^17,
+# Values per replication batch (see _replication_maxima).  Against 2^17,
 # in alternating in-process runs on a 2-CPU host: 2^16 took 1.02-1.32x the
 # time of a d=8 calibration (K=2000, zone 100) and 1.04x of the 18 power cells;
 # 2^18 took 0.90-0.92x of the calibration but 1.12x of the power cells.
 _BATCH_VALUES = 2**17
-
-# Values per batch from which the replication loop draws the next batch on a
-# helper thread while it scans the current one (see _replication_maxima).
-_OVERLAP_VALUES = 2**16
 
 
 class CalibrationError(ValueError):
@@ -286,41 +282,31 @@ def _entry_order(window_lengths: Iterable[int]):
             yield kind, n
 
 
-def _batch_size(rows: int, dim: int) -> int:
-    """Replications of ``rows`` x ``dim`` values per batch: at most ``_BATCH_VALUES``
-    values, or one replication when a single one holds more."""
-    return max(1, _BATCH_VALUES // (rows * dim))
-
-
-def _replication_maxima(count: int, rows: int, dim: int, lengths, batch: int, draw):
+def _replication_maxima(count: int, rows: int, dim: int, lengths, draw):
     """The replication loop of calibration and the static studies, one batch at a time.
 
-    One array of ``min(batch, count)`` contiguous (rows, dim) slots (two when
-    the draws overlap the scan, below), one set of block buffers and one ratio
-    buffer serve every batch.  ``draw(lo, slots)`` fills the given leading
-    slots with replications lo, lo + 1, ...; the kernel scans those slots, on
-    the leading slots of the buffers when a last batch is short.  Yields each
-    batch's (family, replication, length) zone maxima, each equal to a scan of
-    its sequence alone, bit for bit.
+    A batch holds as many (rows, dim) replications as fit in ``_BATCH_VALUES``
+    values, one when a single one holds more, and at most ``count``.  One array
+    of that many contiguous slots (two when the draws overlap the scan, below),
+    one set of block buffers and one ratio buffer serve every batch.
+    ``draw(lo, slots)`` fills the given leading slots with replications lo,
+    lo + 1, ...; the kernel scans those slots, on the leading slots of the
+    buffers when a last batch is short.  Yields each batch's (family,
+    replication, length) zone maxima, each equal to a scan of its sequence
+    alone, bit for bit.
 
-    When a batch holds at least ``_OVERLAP_VALUES`` values, there is more than
-    one batch and the process may run on more than one CPU, there are two slot
-    arrays: one helper thread draws the next batch into one while the calling
-    thread scans the other.  numpy fills ``out=`` without the GIL, so the draws
-    and the scan overlap.  Below that size the draws' per-replication Python
-    work (a ``derived_rng`` per replication) holds the GIL for most of a draw,
-    the threads take turns, and the handoffs cost more than they save.  Batches
-    are still drawn one at a time, in order, so every draw sees the same calls
-    as in the serial loop; the kernel and everything outside ``draw`` stay on
-    the calling thread.  A draw's error is raised on the calling thread when
-    its batch is due.  The helper is joined on every way out of the loop; when
-    the loop stops early, the outcome of a draw the serial loop would not have
-    made is dropped.  Batches sized by :func:`_batch_size` hold more than
-    ``_BATCH_VALUES / 2`` values, so every caller's loop of two batches or more
-    overlaps.
+    When there is more than one batch and the process may run on more than one
+    CPU, there are two slot arrays: one helper thread draws the next batch into
+    one while the calling thread scans the other.  numpy fills ``out=`` without
+    the GIL, so the draws and the scan overlap.  Batches are still drawn one at
+    a time, in order, so every draw sees the same calls as in the serial loop;
+    the kernel and everything outside ``draw`` stay on the calling thread.  A
+    draw's error is raised on the calling thread when its batch is due.  The
+    helper is joined on every way out of the loop; when the loop stops early,
+    the outcome of a draw the serial loop would not have made is dropped.
     """
-    size = min(batch, count)
-    overlap = count > size and size * rows * dim >= _OVERLAP_VALUES and windows._cpus() > 1
+    size = min(max(1, _BATCH_VALUES // (rows * dim)), count)
+    overlap = count > size and windows._cpus() > 1
     slot_arrays = [np.empty((size, rows, dim)) for _ in range(1 + overlap)]
     buffers = windows._scan_buffers((rows, size, dim), lengths)
     # (family, position, replication, length), laid out as the scan's distances
@@ -368,7 +354,7 @@ def calibration_maxima(config: CalibrationConfig) -> dict[tuple[StatKind, int], 
         slots *= config.base_scale
         slots += config.base_mean
 
-    batches = _replication_maxima(k_reps, n_zone, dim, lengths, _batch_size(n_zone, dim), draw)
+    batches = _replication_maxima(k_reps, n_zone, dim, lengths, draw)
     maxima = np.concatenate(list(batches), axis=1).transpose(0, 2, 1)  # (kind, n, k)
     return dict(zip(_entry_order(lengths), maxima.reshape(-1, k_reps)))
 

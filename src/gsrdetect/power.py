@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .calibration import _batch_size, _replication_maxima, analytic_threshold_mu
+from .calibration import _replication_maxima, analytic_threshold_mu
 from .distributions import FisherParams, derived_rng, fisher_upper_quantile
 
 __all__ = [
@@ -182,5 +182,5 @@ def empirical_power(
         y *= sigma
         y[:, n:, :] += delta
 
-    batches = _replication_maxima(replications, 2 * n, d, (n,), _batch_size(2 * n, d), draw)
+    batches = _replication_maxima(replications, 2 * n, d, (n,), draw)
     return sum(int(np.count_nonzero(r[0] >= rho)) for r in batches) / replications

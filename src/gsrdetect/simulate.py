@@ -25,7 +25,6 @@ from . import _checks, detector
 from .calibration import (
     CalibrationConfig,
     ThresholdTable,
-    _batch_size,
     _replication_maxima,
     calibrate_monte_carlo,
 )
@@ -208,8 +207,7 @@ def run_static_power(
             slot[...] = scenario.sample(rng)
             changes.append(scenario.has_change)
 
-    batch = _batch_size(2 * n, dimension)
-    batches = _replication_maxima(samples, 2 * n, dimension, (n,), batch, draw)
+    batches = _replication_maxima(samples, 2 * n, dimension, (n,), draw)
     detected = np.concatenate([np.any(r[..., 0] >= rho, axis=0) for r in batches])
     return _report_from_labels(list(map(_confusion_label, changes, detected.tolist())))
 

@@ -179,9 +179,7 @@ class ObservationWindow:
 
     def __init__(self, half_length: int, dim: int):
         self._n = _checks.half_length(half_length)
-        self._d = _checks.whole(dim, "dimension")
-        if self._d < 1:
-            raise ValueError("dimension must be at least 1")
+        self._d = _checks.whole(dim, "dimension", 1)
         self._obs = deque(maxlen=2 * self._n)  # copies of the observations
         # Set at warm-up by _reanchor: the anchor row, the last 2n + 1 entries
         # of the kernel's S1 and S2 (_pre, _pre_sq), oldest first, and the

@@ -5,8 +5,9 @@ enumeration (directly or via scipy's pdist), never through the running-sum
 identity the package uses, so agreement is evidence rather than tautology.
 ``per_cell_csv`` reads a stream CSV with ``csv`` and ``float`` alone, never
 through numpy's text parser.  ``replication_overlap`` holds calibration's
-replication loop on one of its two paths, and ``scan_split`` the stream
-scan on one of its two, so the paths can be compared.
+replication loop on one of its two paths by the CPU count alone, and records
+which thread made each draw; ``scan_split`` holds the stream scan on one of
+its two paths.  So the paths can be compared.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 from contextlib import contextmanager
 from datetime import datetime
 from unittest import mock
@@ -21,17 +23,36 @@ from unittest import mock
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from gsrdetect import calibration, windows
+from gsrdetect import calibration, power, simulate, windows
 from gsrdetect.cli import InputFormatError
 
 
 @contextmanager
 def replication_overlap(on: bool):
-    """Run every batch of ``calibration._replication_maxima`` after the first on
-    its helper thread (``on``), whatever the batch size and the CPUs, or none."""
-    with mock.patch.object(calibration, "_OVERLAP_VALUES", 0 if on else math.inf):
-        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
-            yield
+    """Let the process run on two CPUs (``on``) or one, whatever the host's, so that
+    ``calibration._replication_maxima`` draws every batch after the first on its helper
+    thread when there are two batches or more, or every batch on the calling thread.
+
+    Yields a list of (first replication, thread) for each draw of the loops that
+    calibration, power and simulate run inside the block.
+    """
+    draws, loop = [], calibration._replication_maxima
+
+    def spy(count, rows, dim, lengths, draw):
+        def recorded(lo, slots):
+            draws.append((lo, threading.current_thread()))
+            draw(lo, slots)
+
+        return loop(count, rows, dim, lengths, recorded)
+
+    cpus = {0, 1} if on else {0}
+    with (
+        mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True),
+        mock.patch.object(calibration, "_replication_maxima", spy),
+        mock.patch.object(power, "_replication_maxima", spy),
+        mock.patch.object(simulate, "_replication_maxima", spy),
+    ):
+        yield draws
 
 
 @contextmanager

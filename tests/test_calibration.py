@@ -459,87 +459,108 @@ class TestTableSerialization:
         assert table.threshold(StatKind.SIGMA_PLUS, 4) == 1.5
 
 
-def _loop_outcome(draw, count=12, batch=4):
+def _loop_outcome(draw, count=12):
     """Batches of a small replication loop, or the error it ended in, with the thread count after."""
     batches = []
     try:
-        for maxima in _replication_maxima(count, 12, 2, (3,), batch, draw):
-            batches.append(maxima)
+        # batches of 4 replications of 12 x 2 values
+        with mock.patch.object(calibration_module, "_BATCH_VALUES", 4 * 12 * 2):
+            for maxima in _replication_maxima(count, 12, 2, (3,), draw):
+                batches.append(maxima)
     except Exception as exc:
         return batches, (type(exc), str(exc)), threading.active_count()
     return batches, None, threading.active_count()
 
 
+def _serial_and_overlapped(run):
+    """``run()``'s outcome with the replication loop serial, then overlapped; each of its
+    loops must run two batches or more, and only the overlapped ones draw on the helper."""
+    outcomes, caller = [], threading.current_thread()
+    for overlap in (False, True):
+        with replication_overlap(overlap) as draws:
+            outcomes.append(run())
+        assert any(lo for lo, _ in draws)  # a second batch
+        assert all((thread is not caller) == (overlap and lo > 0) for lo, thread in draws)
+    return outcomes
+
+
 class TestReplicationOverlap:
     """The replication loop's overlapped path gives the serial path's results and errors."""
 
-    @pytest.mark.parametrize("d", [1, 3, 100])
-    def test_tables_and_maxima_equal_on_both_paths(self, d):
+    @pytest.mark.parametrize(
+        "d, batch",
+        [  # 230 replications in batches of 100, 77 and 13 (d=100's own size)
+            pytest.param(1, 100, id="1"),
+            pytest.param(3, 77, id="3"),
+            pytest.param(100, 13, id="100"),
+        ],
+    )
+    def test_tables_and_maxima_equal_on_both_paths(self, monkeypatch, d, batch):
         lengths = (5, 12) if d < 100 else (20, 35, 50)
+        zone = 6 * max(lengths) if d < 100 else 100
         config = _config(
             window_lengths=lengths, dimension=d, alphas=allocate_alphas(0.06, lengths),
-            zone_length=6 * max(lengths) if d < 100 else 100, replications=230, seed=17,
+            zone_length=zone, replications=230, seed=17,
         )
-        results = []
-        for overlap in (False, True):
-            with replication_overlap(overlap):
-                results.append((calibrate_monte_carlo(config), calibration_maxima(config)))
+        monkeypatch.setattr(calibration_module, "_BATCH_VALUES", batch * zone * d)
+        results = _serial_and_overlapped(
+            lambda: (calibrate_monte_carlo(config), calibration_maxima(config))
+        )
         (serial_table, serial), (overlapped_table, overlapped) = results
         assert serial_table == overlapped_table
         assert all(np.array_equal(serial[key], overlapped[key]) for key in serial)
 
     @pytest.mark.parametrize("replications", [513, 3000])
-    def test_empirical_power_equal_on_both_paths(self, replications):
-        rates = []
-        for overlap in (False, True):
-            with replication_overlap(overlap):
-                rates.append([
-                    empirical_power(n, d, 0.05, 0.3, replications=replications, seed=9)
-                    for n in (10, 30) for d in (1, 10)
-                ])
-        assert np.array_equal(*rates)
+    def test_empirical_power_equal_on_both_paths(self, monkeypatch, replications):
+        # 2^13 values: batches of 409, 136, 40 and 13 windows of 20, 60, 200 and 600 values
+        monkeypatch.setattr(calibration_module, "_BATCH_VALUES", 2**13)
+        for n in (10, 30):
+            for d in (1, 10):
+                rates = _serial_and_overlapped(
+                    lambda: empirical_power(n, d, 0.05, 0.3, replications=replications, seed=9)
+                )
+                assert rates[0] == rates[1], (n, d)
 
     @pytest.mark.parametrize("samples", [100, 513])
     @pytest.mark.parametrize("change", ["none", "mean", "variance"])
-    def test_static_power_equal_on_both_paths(self, change, samples):
-        reports = []
-        for overlap in (False, True):
-            with replication_overlap(overlap):
-                reports.append(run_static_power(4, 10, change, samples=samples, seed=4))
+    def test_static_power_equal_on_both_paths(self, monkeypatch, change, samples):
+        # batches of 40 windows of 20 x 4 values
+        monkeypatch.setattr(calibration_module, "_BATCH_VALUES", 40 * 20 * 4)
+        reports = _serial_and_overlapped(
+            lambda: run_static_power(4, 10, change, samples=samples, seed=4)
+        )
         assert reports[0] == reports[1]
 
     def test_static_study_equal_on_both_paths_under_rapid_thread_switches(self):
-        # the draws append to the study's list on the helper while the caller scans
-        reports = []
-        for overlap in (False, True):
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with replication_overlap(overlap):
-                    reports.append(run_static_power(4, 10, "mean", samples=2000, seed=8))
-            finally:
-                sys.setswitchinterval(interval)
+        # the draws append to the study's list on the helper while the caller scans;
+        # 2000 windows of 20 x 4 values make batches of 1638 and 362
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = _serial_and_overlapped(
+                lambda: run_static_power(4, 10, "mean", samples=2000, seed=8)
+            )
+        finally:
+            sys.setswitchinterval(interval)
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
-        "cpus, count, threshold, helper",
-        [  # _loop_outcome's batches hold 4 x 12 x 2 = 96 values
-            pytest.param({0, 1}, 12, 96, True, id="at-threshold"),
-            pytest.param({0, 1}, 12, 97, False, id="below-threshold"),
-            pytest.param({0}, 12, 0, False, id="one-cpu"),
-            pytest.param({0, 1}, 4, 0, False, id="one-batch"),
+        "cpus, count, helper",
+        [  # _loop_outcome's batches hold 4 replications
+            pytest.param({0, 1}, 12, True, id="two-cpus"),
+            pytest.param({0}, 12, False, id="one-cpu"),
+            pytest.param({0, 1}, 4, False, id="one-batch"),
         ],
     )
-    def test_helper_draws_only_where_it_pays(self, cpus, count, threshold, helper):
+    def test_helper_draws_only_where_it_pays(self, cpus, count, helper):
         threads = []
 
         def draw(lo, slots):
             threads.append(threading.current_thread())
             slots[...] = derived_rng(5, lo).standard_normal(slots.shape)
 
-        with mock.patch.object(calibration_module, "_OVERLAP_VALUES", threshold):
-            with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
-                _loop_outcome(draw, count=count)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus, create=True):
+            _loop_outcome(draw, count=count)
         caller = threading.current_thread()
         assert threads[0] is caller
         assert all((t is not caller) is helper for t in threads[1:])
@@ -605,8 +626,11 @@ class TestReplicationOverlap:
                 drawn.append(lo)
                 slots[...] = derived_rng(5, lo).standard_normal(slots.shape)
 
-            with replication_overlap(overlap):
-                batches = _replication_maxima(12, 12, 2, (3,), 4, draw)
+            with (
+                replication_overlap(overlap),
+                mock.patch.object(calibration_module, "_BATCH_VALUES", 4 * 12 * 2),
+            ):
+                batches = _replication_maxima(12, 12, 2, (3,), draw)
                 first = next(batches)
                 batches.close()
             assert first.shape == (len(StatKind), 4, 1)

@@ -294,7 +294,8 @@ def test_static_windows_equal_stream_and_step_paths_bit_for_bit(monkeypatch, n, 
         live.append(len(slots))
 
     # Three batches, the static studies' loop; 64 windows leave a short last one.
-    ratios = list(_replication_maxima(count, 2 * n, d, (n,), -(-count // 3), draw))
+    monkeypatch.setattr(calibration_module, "_BATCH_VALUES", -(-count // 3) * 2 * n * d)
+    ratios = list(_replication_maxima(count, 2 * n, d, (n,), draw))
     assert len(seen) == 3 and all(len(stats.clocks) == 1 for stats in seen)
     # Each batch's one position per window, without a short last batch's stale tail.
     batches = [

@@ -7,6 +7,7 @@ anchors; every caller reads ``windows._BLOCK`` at call time.  Calibration's
 replication batches are shortened to as many zones as span 16 rows.
 """
 
+import threading
 from unittest import mock
 
 import numpy as np
@@ -146,17 +147,23 @@ def test_replication_loop_equals_per_replication_scans(
     ys = np.random.default_rng(seed).standard_normal((count, rows, d)) + level
     if flat is not None and flat < count:
         ys[flat] = ys[flat, 0]  # every ratio degenerate
+    caller = threading.current_thread()
     for overlap in (False, True):
         drawn = []
 
         def draw(lo, slots):
-            drawn.append((lo, len(slots)))
+            drawn.append((lo, len(slots), threading.current_thread() is not caller))
             slots[...] = ys[lo : lo + len(slots)]
 
-        with replication_overlap(overlap):
-            batches = list(_replication_maxima(count, rows, d, lengths, batch, draw))
+        with (
+            replication_overlap(overlap),
+            mock.patch.object(calibration_module, "_BATCH_VALUES", batch * rows * d),
+        ):
+            batches = list(_replication_maxima(count, rows, d, lengths, draw))
         got = np.concatenate(batches, axis=1)
-        assert drawn == [(lo, min(batch, count - lo)) for lo in range(0, count, batch)]
+        # every batch after the first drawn on the helper, when overlapped
+        want = [(lo, min(batch, count - lo), overlap and lo > 0) for lo in range(0, count, batch)]
+        assert drawn == want
         assert got.shape == (len(StatKind), count, len(lengths))
         for k, y in enumerate(ys):
             for j, n in enumerate(lengths):

@@ -414,7 +414,7 @@ def test_dimension_must_be_a_whole_number():
     for dim in (2.5, True, np.True_):
         with pytest.raises(ValueError, match="^dimension must be a whole number"):
             ObservationWindow(5, dim)
-    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+    with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
         ObservationWindow(5, 0)
     win = ObservationWindow(5, 3.0)
     assert win.dimension == 3 and type(win.dimension) is int
