@@ -349,16 +349,23 @@ def detect_stream(
         raise ValueError("stream must be a (T, d) array")
     t_len, dimension = y.shape
     lengths = [n for n in sorted(config.windows) if t_len >= 2 * n]
+    # A table that does not fit is found before the scan; a non-finite stream
+    # is still the error reported first, so only then is the stream checked.
+    try:
+        rhos = _resolve_thresholds(config, dimension, thresholds)[1][:, : len(lengths)]
+    except (ValueError, KeyError):
+        if not np.all(np.isfinite(y)):
+            raise ValueError("stream contains non-finite values") from None
+        raise
     # Every row lies in a warm window of the shortest length, so the scan
     # checks the whole stream for non-finite values.
     try:
         stats = sliding_spanning_stats(y, lengths) if lengths else None
     except _NonFiniteError:
         raise ValueError("stream contains non-finite values") from None
-    if not lengths and not np.all(np.isfinite(y)):
-        raise ValueError("stream contains non-finite values")
-    rhos = _resolve_thresholds(config, dimension, thresholds)[1][:, : len(lengths)]
     if not lengths:
+        if not np.all(np.isfinite(y)):
+            raise ValueError("stream contains non-finite values")
         return []
 
     # (window, position) distances, each window's positions contiguous.  A

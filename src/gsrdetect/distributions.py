@@ -2,11 +2,14 @@
 
 Quantiles are always *upper-tail*: ``fisher_upper_quantile(p, alpha)`` returns
 the x with P(X >= x) = alpha, since every detection test in this package
-rejects for large statistics.  Central quantiles are computed through
-scipy's regularized incomplete beta/gamma inverses (CDF error well below
-1e-10).  Noncentral chi-square upper quantiles are replaced by an explicit
-closed-form upper bound and flagged as such; the power bounds that need them
-are stated in terms of this bound, not of the exact quantile.
+rejects for large statistics.  Central quantiles are ``scipy.special.fdtri``
+and ``chdtri``, the regularized incomplete beta/gamma inverses (CDF error well
+below 1e-10) that ``scipy.stats``' ``f.isf`` and ``chi2.isf`` call, so they
+equal those without their argument handling.  Noncentral chi-square upper
+quantiles are replaced by an explicit closed-form upper bound and flagged as
+such; the power bounds that need them are stated in terms of this bound, not
+of the exact quantile.  scipy is imported on first use, so a caller that needs
+no law (a threshold table, a Monte Carlo calibration) loads none of it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import _checks
 
@@ -68,12 +70,15 @@ class TailValue:
 
 def fisher_distribution(params: FisherParams):
     """Frozen scipy F distribution for the given degrees of freedom."""
+    from scipy import stats
     return stats.f(params.df_num, params.df_den)
 
 
 def fisher_upper_quantile(params: FisherParams, alpha: float) -> float:
     """x with P(F_{df_num, df_den} >= x) = alpha."""
-    return float(stats.f.isf(_checks.level(alpha, "alpha"), params.df_num, params.df_den))
+    from scipy import special
+    alpha = _checks.level(alpha, "alpha")
+    return float(special.fdtri(params.df_num, params.df_den, 1.0 - alpha))
 
 
 def chi2_quantile_upper_bound(params: ChiSquareParams, alpha: float) -> float:
@@ -97,7 +102,8 @@ def chi2_upper_quantile(params: ChiSquareParams, alpha: float) -> TailValue:
     """
     alpha = _checks.level(alpha, "alpha")
     if params.noncentrality == 0.0:
-        return TailValue(float(stats.chi2.isf(alpha, params.df)), is_bound=False)
+        from scipy import special
+        return TailValue(float(special.chdtri(params.df, alpha)), is_bound=False)
     return TailValue(chi2_quantile_upper_bound(params, alpha), is_bound=True)
 
 

@@ -20,9 +20,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import _checks
+from .distributions import FisherParams, fisher_distribution
 from .windows import SlidingStats, SpanningDecomposition
 
 __all__ = [
@@ -110,7 +110,7 @@ def null_law_mu(n: int, d: float):
     """
     n = _checks.half_length(n)
     _checks.finite(d, "dimension", least=1)
-    return stats.f(d, 2 * (n - 1) * d)
+    return fisher_distribution(FisherParams(d, 2 * (n - 1) * d))
 
 
 def null_law_sigma(n: int, d: float):
@@ -118,7 +118,7 @@ def null_law_sigma(n: int, d: float):
     n = _checks.half_length(n)
     _checks.finite(d, "dimension", least=1)
     k = (n - 1) * d
-    return stats.f(k, k)
+    return fisher_distribution(FisherParams(k, k))
 
 
 def effective_dof(variances) -> float:

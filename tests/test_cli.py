@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -647,3 +652,45 @@ class TestPowerCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["power"] > 0.9
+
+
+# In a fresh interpreter: this one has imported scipy through the oracles.
+_SCIPY_FOOTPRINT = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    from gsrdetect.cli import main
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    assert scipy_modules() == [], scipy_modules()
+    np.savetxt("s.csv", np.random.default_rng(1).normal(size=(200, 2)), delimiter=",")
+    calibrate = ["calibrate", "--dim", "2", "--windows", "5", "--reps", "200", "--out", "t.json"]
+    assert main(calibrate) == 0
+    assert main(["detect", "--input", "s.csv", "--thresholds", "t.json", "--out", "e.jsonl"]) == 0
+    assert scipy_modules() == [], scipy_modules()
+
+    from scipy import stats
+
+    from gsrdetect import FisherParams, fisher_distribution, null_law_mu
+
+    expected = stats.f(3, 24).isf(0.05)
+    assert null_law_mu(5, 3).isf(0.05) == expected
+    assert fisher_distribution(FisherParams(3, 24)).isf(0.05) == expected
+    assert main(["detect", "--input", "s.csv", "--analytic", "--windows", "5"]) == 0
+    """
+)
+
+
+def test_table_runs_load_no_scipy(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FOOTPRINT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

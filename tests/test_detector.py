@@ -578,6 +578,27 @@ class TestDetectStreamBlocks:
         with pytest.raises(ValueError, match="^stream contains non-finite values$"):
             detect_stream(y, DetectorConfig(windows=(5,)), table)
 
+    @pytest.mark.parametrize(
+        "dim, lengths, error, message",
+        [
+            (2, (5,), ValueError, "calibrated for dimension 3, stream has dimension 2"),
+            (3, (5, 8), KeyError, r"lacks \(mu, n=8\), \(sigma\+, n=8\), \(sigma-, n=8\)"),
+        ],
+        ids=["other-dimension", "missing-window"],
+    )
+    def test_table_misfit_raises_before_the_scan(self, monkeypatch, dim, lengths, error, message):
+        scans = []
+        scan = windows_module._window_scan
+        monkeypatch.setattr(
+            windows_module, "_window_scan", lambda *args: scans.append(args) or scan(*args)
+        )
+        table = analytic_table((5,), 3, allocate_alphas(0.06, (5,)))
+        with pytest.raises(error, match=message):
+            detect_stream(np.zeros((40, dim)), DetectorConfig(windows=lengths), table)
+        assert scans == []
+        detect_stream(np.zeros((40, 3)), DetectorConfig(windows=(5,)), table)
+        assert len(scans) == 1  # the spy sees the scan of a table that fits
+
 
 class TestDetectStreamChunks:
     """Streams several ratio chunks long: ``_BLOCK`` is 16, so a chunk is 64 window positions."""

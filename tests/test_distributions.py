@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gsrdetect.detector import allocate_alphas
 from gsrdetect.distributions import (
     ChiSquareParams,
     FisherParams,
@@ -16,6 +17,13 @@ from gsrdetect.distributions import (
     fisher_upper_quantile,
     gaussian_sample,
     ks_statistic,
+)
+
+# Tail masses from deep Bonferroni shares to the lower tail, with the nine
+# shares of 0.06 over windows (20, 35, 50) that the benchmark's tables use.
+ALPHAS = sorted(
+    {1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.9, 0.999}
+    | set(allocate_alphas(0.06, (20, 35, 50)).values())
 )
 
 
@@ -44,6 +52,16 @@ class TestFisherQuantiles:
             assert law.sf(q) == pytest.approx(alpha, abs=1e-9)
             assert law.cdf(q) == pytest.approx(1 - alpha, abs=1e-9)
 
+    @pytest.mark.parametrize("df_num", [1, 2.5, 8, 100, 1000])
+    @pytest.mark.parametrize("df_den", [1, 3.5, 24, 98, 980, 98_000])
+    def test_equals_scipy_stats(self, df_num, df_den):
+        # Guards the direct special-function call: its argument order, its
+        # 1 - alpha, and scipy.stats' own path to the same quantile.
+        for alpha in ALPHAS:
+            expected = stats.f.isf(alpha, df_num, df_den)
+            got = fisher_upper_quantile(FisherParams(df_num, df_den), alpha)
+            assert got == pytest.approx(expected, rel=1e-12)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             FisherParams(0, 3)
@@ -66,6 +84,12 @@ class TestChiSquare:
             for alpha in (0.001, 0.05, 0.5, 0.99):
                 res = chi2_upper_quantile(ChiSquareParams(df), alpha)
                 assert stats.chi2.sf(res.value, df) == pytest.approx(alpha, abs=1e-10)
+
+    @pytest.mark.parametrize("df", [0.5, 1, 2.5, 10, 99, 1000, 1e4])
+    def test_equals_scipy_stats(self, df):
+        for alpha in ALPHAS:
+            got = chi2_upper_quantile(ChiSquareParams(df), alpha).value
+            assert got == pytest.approx(stats.chi2.isf(alpha, df), rel=1e-12)
 
     def test_median_below_mean(self):
         # chi-square is right-skewed: median < df
