@@ -51,9 +51,6 @@ EVENT_KIND = {
 
 _POLICIES = ("halt", "cooldown", "continue")
 
-# GsrTriple's ratios in StatKind order; getattr is about twice as fast per tick as value_of.
-_RATIO_FIELDS = ("r_mu", "r_sigma_plus", "r_sigma_minus")
-
 
 def _split_exact(total: float, count: int) -> list[float]:
     """Split ``total`` into ``count`` near-equal parts whose sum is exactly ``total``.
@@ -284,19 +281,10 @@ class Detector:
     def _current_triples(self) -> dict[int, GsrTriple]:
         triples = {}
         for n, win in self._windows.items():
-            if win.is_warm:
-                triples[n] = compute_gsr(win.decompose(), self._clock - n + 1)
+            if not win.is_warm:  # nor is any longer one: windows ascend
+                break
+            triples[n] = compute_gsr(win.decompose(), self._clock - n + 1)
         return triples
-
-    def _tests(self) -> list[tuple[int, int, float | None, float]]:
-        """(family rank, window, statistic or None, threshold) per warm window, in event order."""
-        # The warm windows are the shortest, so zip takes each family's leading thresholds.
-        triples = self._current_triples().items()
-        return [
-            (rank, n, getattr(triple, field), rho)
-            for rank, (field, rhos) in enumerate(zip(_RATIO_FIELDS, self._rhos))
-            for (n, triple), rho in zip(triples, rhos)
-        ]
 
     def step(self, observation) -> list[DetectionEvent]:
         """Consume one observation and return the events it triggers (often none)."""
@@ -305,7 +293,15 @@ class Detector:
         self._clock += 1  # only once every window has accepted the observation
         if self._clock <= self._quiet_until:
             return []
-        hits = [(r, n, x, rho) for r, n, x, rho in self._tests() if x is not None and x >= rho]
+        triples = self._current_triples()
+        # Family by family, the warm (shortest) windows against its leading thresholds.
+        ratios = zip(*[(t.r_mu, t.r_sigma_plus, t.r_sigma_minus) for t in triples.values()])
+        hits = [
+            (rank, n, x, rho)
+            for rank, (stats, rhos) in enumerate(zip(ratios, self._rhos))
+            for n, x, rho in zip(triples, stats, rhos)
+            if x is not None and x >= rho
+        ]
         if not hits:
             return []
         self._quiet_until = self._clock + self._gap
@@ -317,13 +313,14 @@ class Detector:
         ``max(pooled) >= 0`` exactly when :meth:`step` would have emitted an
         event at this clock tick (under the ``continue`` policy).
         """
-        tests = self._tests()
-        if not tests:
+        triples = list(self._current_triples().values())
+        if not triples:
             raise ValueError("no warm window yet")
         pooled = [-math.inf] * len(StatKind)
-        for rank, _, stat, rho in tests:
-            if stat is not None:
-                pooled[rank] = max(pooled[rank], stat - rho)
+        for rank, (kind, rhos) in enumerate(zip(StatKind, self._rhos)):
+            for triple, rho in zip(triples, rhos):
+                if (stat := triple.value_of(kind)) is not None:
+                    pooled[rank] = max(pooled[rank], stat - rho)
         return PooledStatistics(*pooled)
 
 

@@ -72,11 +72,16 @@ class GsrTriple:
 
 def compute_gsr(decomp: SpanningDecomposition, t: int) -> GsrTriple:
     """Map a warm window's spanning decomposition to its GSR triple."""
-    halves = decomp.w_left + decomp.w_right
-    r_mu = decomp.w_full / halves if halves > 0.0 else None
-    r_plus = decomp.w_right / decomp.w_left if decomp.w_left > 0.0 else None
-    r_minus = decomp.w_left / decomp.w_right if decomp.w_right > 0.0 else None
-    return GsrTriple(r_mu=r_mu, r_sigma_plus=r_plus, r_sigma_minus=r_minus, t_index=t)
+    w_left, w_right = decomp.w_left, decomp.w_right
+    halves = w_left + w_right
+    # Filled in place, as detector._build_events fills events: twice as fast as __init__.
+    triple = object.__new__(GsrTriple)
+    attrs = triple.__dict__
+    attrs["r_mu"] = decomp.w_full / halves if halves > 0.0 else None
+    attrs["r_sigma_plus"] = w_right / w_left if w_left > 0.0 else None
+    attrs["r_sigma_minus"] = w_left / w_right if w_right > 0.0 else None
+    attrs["t_index"] = t
+    return triple
 
 
 def sliding_gsr(stats: SlidingStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

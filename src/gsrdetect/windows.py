@@ -187,6 +187,7 @@ class ObservationWindow:
         self._anchor = self._pre = self._pre_sq = self._sums = None
         self._slides = 0  # slides since the last anchor
         self._rows = np.zeros((4, self._d))  # reused rows: c, L, R and R again
+        self._row_views = tuple(self._rows)  # a view of each, made once rather than per slide
 
     @classmethod
     def from_observations(cls, observations, half_length: int | None = None) -> "ObservationWindow":
@@ -254,11 +255,12 @@ class ObservationWindow:
         and ``R = S1[p] - S1[p - n]``; a non-finite row raises before any change.
         """
         n, rows, pre, pre_sq = self._n, self._rows, self._pre, self._pre_sq
-        np.subtract(y, self._anchor, out=rows[0])
-        s1 = pre[-1] + rows[0]
-        np.subtract(pre[-n], pre[-2 * n], out=rows[1])
-        np.subtract(s1, pre[-n], out=rows[2])
-        rows[3] = rows[2]
+        c, left, right, right_again = self._row_views
+        np.subtract(y, self._anchor, out=c)
+        s1 = pre[-1] + c
+        np.subtract(pre[-n], pre[-2 * n], out=left)
+        np.subtract(s1, pre[-n], out=right)
+        right_again[...] = right
         # |c|^2, |L|^2, |R|^2 and L.R in one einsum over several rows, as the
         # batch path reduces them (einsum splits a lone long row differently).
         sq, left_sq, right_sq, cross = np.einsum("ij,ij->i", rows, rows[_PAIRED]).tolist()
@@ -298,12 +300,20 @@ class ObservationWindow:
         self._require_warm()
         left_sq, right_sq, cross, w_left, w_right = self._sums
         # The batch path's order: (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right),
-        # then negative cancellation residue is clamped to zero.
+        # then negative cancellation residue is clamped to zero, each clamp exactly
+        # max(x, 0.0) without the builtin's call.
         w_full = cross * -2.0 + left_sq + right_sq + 2.0 * (w_left + w_right)
-        w_full, w_left, w_right = max(w_full, 0.0), max(w_left, 0.0), max(w_right, 0.0)
-        w_btw = max(w_full - w_left - w_right, 0.0)
-        w_rem = w_full - 2.0 * (w_left + w_right)
-        return SpanningDecomposition(w_full, w_left, w_right, w_rem, w_btw)
+        w_full = 0.0 if w_full < 0.0 else w_full
+        w_left = 0.0 if w_left < 0.0 else w_left
+        w_right = 0.0 if w_right < 0.0 else w_right
+        w_btw = w_full - w_left - w_right
+        # Filled in place, as detector._build_events fills events: twice as fast as __init__.
+        decomp = object.__new__(SpanningDecomposition)
+        attrs = decomp.__dict__
+        attrs["w_full"], attrs["w_left"], attrs["w_right"] = w_full, w_left, w_right
+        attrs["w_rem"] = w_full - 2.0 * (w_left + w_right)
+        attrs["w_btw"] = 0.0 if w_btw < 0.0 else w_btw
+        return decomp
 
 
 class SlidingStats(NamedTuple):

@@ -198,6 +198,40 @@ def test_well_formed_file_takes_the_vectorised_path(tmp_path, monkeypatch):
     assert out.dtype == data.dtype and out.tobytes() == data.tobytes()
 
 
+def _quote_header(path):
+    """Quote every cell of the file's header line, and return the new file's path."""
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    quoted = path.with_name("quoted-" + path.name)
+    quoted.write_text(",".join(f'"{c}"' for c in header.split(",")) + "\n" + rest, encoding="utf-8")
+    return quoted
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["well-formed", "bad-cell"])
+@pytest.mark.parametrize("where", ["data-row", "header-over-line-break"])
+def test_quoted_csv_is_parsed_cell_by_cell(tmp_path, monkeypatch, where, bad):
+    f = tmp_path / "stream.csv"
+    _timestamped_csv(f, 50)
+    lines = _quote_header(f).read_text(encoding="utf-8").split("\n")
+    if where == "data-row":
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:2] + [f'"{cells[2]}"'] + cells[3:])
+    else:
+        lines[0] = lines[0].replace('"timestamp"', '"time\nstamp"')
+    if bad:
+        lines[10] = lines[10].replace(".", "x", 1)
+    f.write_text("\n".join(lines), encoding="utf-8")
+    want = parse_outcome(per_cell_csv, str(f), False)
+    parse_cells, calls = cli_module._parse_cells, []
+    monkeypatch.setattr(cli_module, "_parse_cells", lambda *a: calls.append(a) or parse_cells(*a))
+    assert parse_outcome(read_stream_csv, str(f), False) == want
+    assert calls == [(str(f), False)]
+    if bad:
+        assert want[0] is cli_module.InputFormatError and want[1].startswith("row 11: ")
+        assert main(["detect", "--input", str(f), "--analytic", "--windows", "2"]) == EXIT_USAGE
+    else:
+        assert want[1] == (50, 8)
+
+
 @pytest.mark.parametrize("time_column", [False, True], ids=["auto", "time-column"])
 def test_cell_over_csv_field_limit_exits_2(tmp_path, time_column):
     f = tmp_path / "long.csv"

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gsrdetect.detector as detector_module
 import gsrdetect.windows as windows_module
 from gsrdetect.calibration import (
     CalibrationConfig,
@@ -298,6 +299,43 @@ class TestDetectorStep:
         events, pooled = run(patched=False)
         assert len(events) > 10 and len(pooled) == len(y) - 7
         assert run(patched=True) == (events, pooled)
+
+
+@pytest.mark.parametrize("policy", ["halt", "cooldown", "continue"])
+def test_step_decomposes_and_tests_each_warm_window_once_per_tested_tick(monkeypatch, policy):
+    calls = []
+    decompose, compute_gsr = ObservationWindow.decompose, detector_module.compute_gsr
+
+    def spy_decompose(window):
+        calls.append(("decompose", window.half_length))
+        return decompose(window)
+
+    def spy_compute_gsr(decomp, t):
+        calls.append(("compute_gsr", t))
+        return compute_gsr(decomp, t)
+
+    monkeypatch.setattr(ObservationWindow, "decompose", spy_decompose)
+    monkeypatch.setattr(detector_module, "compute_gsr", spy_compute_gsr)
+    windows, cooldown = (4, 7, 9), 12
+    config = DetectorConfig(windows=windows, alpha_total=0.2, policy=policy, cooldown=cooldown)
+    y = derived_rng(14).standard_normal((200, 2))
+    y[60:] += 2.0
+    y[120:] *= 3.0
+    det = Detector(config, dimension=2)
+    gap = {"halt": math.inf, "cooldown": cooldown, "continue": 0}[policy]
+    quiet_until, tested, fired = 0, 0, 0
+    for t, row in enumerate(y, start=1):
+        calls.clear()
+        events = det.step(row)
+        warm = [n for n in windows if t >= 2 * n] if t > quiet_until else []
+        expected = [c for n in warm for c in (("decompose", n), ("compute_gsr", t - n + 1))]
+        assert calls == expected, f"tick {t}"
+        tested += t > quiet_until and t >= 2 * windows[0]
+        if events:
+            fired += 1
+            quiet_until = t + gap
+    assert fired >= (1 if policy == "halt" else 3)
+    assert (tested < len(y) - 2 * windows[0] + 1) == (policy != "continue")  # ticks were skipped
 
 
 class TestPooledStatistics:

@@ -1,5 +1,7 @@
 """GSR triple computation, null laws, and pivotality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -56,6 +58,34 @@ def test_constant_left_half_degenerates_only_sigma_plus():
     assert triple.r_sigma_plus is None  # denominator w_left = 0
     assert triple.r_sigma_minus == 0.0
     assert triple.r_mu is not None
+
+
+@pytest.mark.parametrize(
+    "data, degenerate",
+    [
+        (derived_rng(9).standard_normal((10, 3)), 0),
+        (np.vstack([np.zeros((3, 1)), [[1.0], [2.0], [4.0]]]), 1),
+        (np.full((6, 2), 4.2), 3),
+    ],
+    ids=["random", "constant-left-half", "all-identical"],
+)
+def test_window_outputs_keep_the_frozen_dataclass_contract(data, degenerate):
+    # decompose and compute_gsr fill their instances without calling __init__.
+    decomp = ObservationWindow.from_observations(data).decompose()
+    outputs = (decomp, compute_gsr(decomp, 7))
+    for made, cls in zip(outputs, (SpanningDecomposition, GsrTriple)):
+        names = [f.name for f in dataclasses.fields(cls)]
+        built = cls(*(getattr(made, name) for name in names))
+        assert type(made) is cls and list(vars(made)) == names
+        assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+        assert dataclasses.asdict(made) == dataclasses.asdict(built)
+        assert dataclasses.replace(made) == built
+        changed = {names[0]: 1.5}
+        assert dataclasses.replace(made, **changed) == dataclasses.replace(built, **changed)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, name, 0.0)
+    assert dataclasses.astuple(outputs[1])[:3].count(None) == degenerate
 
 
 def test_reciprocity_and_mu_floor_on_random_windows():
