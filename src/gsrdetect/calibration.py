@@ -40,6 +40,7 @@ __all__ = [
     "ThresholdEntry",
     "ThresholdTable",
     "calibrate_monte_carlo",
+    "calibration_maxima",
     "analytic_threshold_mu",
     "analytic_threshold_sigma",
     "analytic_table",

@@ -27,10 +27,10 @@ from .calibration import (
     calibrate_monte_carlo,
 )
 from .detector import (
-    DetectorConfig, _resolve_thresholds, allocate_alphas, detect_stream, events_to_jsonl
+    _POLICIES, DetectorConfig, _resolve_thresholds, allocate_alphas, detect_stream, events_to_jsonl
 )
 from .power import PowerQuery, delta_mu, delta_sigma, empirical_power, minimum_radius
-from .simulate import run_online_power, run_static_power, static_power_grid
+from .simulate import _CHANGES, run_online_power, run_static_power, static_power_grid
 
 __all__ = ["main", "read_stream_csv", "write_stream_csv", "log_returns"]
 
@@ -396,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument(
         "--alpha-total", type=_probability("--alpha-total"), default=0.06
     )
-    det.add_argument("--policy", choices=["halt", "cooldown", "continue"], default="halt")
+    det.add_argument("--policy", choices=_POLICIES, default="halt")
     det.add_argument("--cooldown", type=int, default=None, help="cooldown steps")
     det.add_argument(
         "--log-returns",
@@ -416,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dim", type=int, required=True)
     sim.add_argument("--window", type=int, default=30, help="static-mode half window n")
     sim.add_argument("--windows", type=_parse_windows, default=(20, 35, 50))
-    sim.add_argument("--change", choices=["none", "mean", "variance"], default="mean")
+    sim.add_argument("--change", choices=_CHANGES, default="mean")
     sim.add_argument("--mean-shift", type=float, default=None, help="default d^(-1/3)")
     sim.add_argument("--variance-scale", type=float, default=2.0)
     sim.add_argument("--samples", type=int, default=None)

@@ -346,24 +346,21 @@ def detect_stream(
         raise ValueError("stream must be a (T, d) array")
     t_len, dimension = y.shape
     lengths = [n for n in sorted(config.windows) if t_len >= 2 * n]
-    # A table that does not fit is found before the scan; a non-finite stream
-    # is still the error reported first, so only then is the stream checked.
+    # A table that does not fit is found before the scan.  Every row lies in a
+    # warm window of the shortest length, so the scan checks the whole stream
+    # for non-finite values; only when something fails is the stream checked
+    # here, since a non-finite stream is the error reported first.
     try:
         rhos = _resolve_thresholds(config, dimension, thresholds)[1][:, : len(lengths)]
-    except (ValueError, KeyError):
+        if not lengths:  # too short to scan
+            raise _NonFiniteError
+        stats = sliding_spanning_stats(y, lengths)
+    except (ValueError, KeyError) as error:
         if not np.all(np.isfinite(y)):
             raise ValueError("stream contains non-finite values") from None
-        raise
-    # Every row lies in a warm window of the shortest length, so the scan
-    # checks the whole stream for non-finite values.
-    try:
-        stats = sliding_spanning_stats(y, lengths) if lengths else None
-    except _NonFiniteError:
-        raise ValueError("stream contains non-finite values") from None
-    if not lengths:
-        if not np.all(np.isfinite(y)):
-            raise ValueError("stream contains non-finite values")
-        return []
+        if not isinstance(error, _NonFiniteError):
+            raise
+        return []  # too short: the scan raises it only on a non-finite stream
 
     # (window, position) distances, each window's positions contiguous.  A
     # longer window's positions before its first warm one read NaN, so -inf.

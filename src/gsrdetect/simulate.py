@@ -40,6 +40,8 @@ __all__ = [
     "static_power_grid",
 ]
 
+_CHANGES = ("none", "mean", "variance")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -162,8 +164,8 @@ def _report_from_labels(labels: Sequence[str]) -> PowerReport:
 
 def _scenarios(change, dimension, length, change_at, mean_shift, variance_scale):
     """A study's two scenarios: without a change, and with ``change`` from ``change_at`` on."""
-    if change not in ("none", "mean", "variance"):
-        raise ValueError(f"change must be none|mean|variance, got {change!r}")
+    if change not in _CHANGES:
+        raise ValueError(f"change must be {'|'.join(_CHANGES)}, got {change!r}")
     dimension = _checks.whole(dimension, "dimension", 1)  # before the default shift's power
     shift, scale = 0.0, 1.0
     if change == "mean":

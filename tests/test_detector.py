@@ -609,12 +609,23 @@ class TestDetectStreamBlocks:
         with pytest.raises(ValueError, match="^stream contains non-finite values$"):
             detect_stream(y, config)
 
-    def test_non_finite_reported_before_table_mismatch(self):
+    @pytest.mark.parametrize("rows", [40, 6], ids=["scanned", "too-short"])
+    @pytest.mark.parametrize(
+        "dim, lengths, error",
+        [(2, (5,), ValueError), (3, (5, 8), KeyError)],
+        ids=["other-dimension", "missing-window"],
+    )
+    def test_non_finite_reported_before_table_mismatch(self, rows, dim, lengths, error):
         table = analytic_table((5,), 3, allocate_alphas(0.06, (5,)))
-        y = np.zeros((40, 2))
+        config = DetectorConfig(windows=lengths)
+        y = np.zeros((rows, dim))
         y[-1, 0] = np.inf
         with pytest.raises(ValueError, match="^stream contains non-finite values$"):
-            detect_stream(y, DetectorConfig(windows=(5,)), table)
+            detect_stream(y, config, table)
+        y[-1, 0] = 0.0
+        with pytest.raises(error) as raised:
+            detect_stream(y, config, table)
+        assert "non-finite" not in str(raised.value)
 
     @pytest.mark.parametrize(
         "dim, lengths, error, message",
