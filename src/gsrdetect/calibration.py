@@ -137,20 +137,16 @@ class CalibrationConfig:
         _checks.seed(self.seed, error)
         _checks.positive(self.base_scale, "base_scale", error)
         _checks.finite(self.base_mean, "base_mean", error=error)
-        for alpha in _alpha_levels(self.alphas, self.window_lengths, error):
+        levels = [_alpha(self.alphas, k, n, error) for n in self.window_lengths for k in StatKind]
+        for alpha in levels:
             _quantile_index(replications, alpha)
 
 
-def _alpha_levels(alphas, window_lengths, error=ValueError) -> list[float]:
-    """Every (family, n) pair's level in ``alphas``, each checked to lie in (0, 1)."""
-    levels = []
-    for n in window_lengths:
-        for kind in StatKind:
-            alpha = alphas.get((kind, n))
-            if alpha is None:
-                raise error(f"missing alpha for ({kind}, n={n})")
-            levels.append(_checks.level(alpha, f"alpha for ({kind}, n={n})", error))
-    return levels
+def _alpha(alphas, kind: StatKind, n: int, error=ValueError) -> float:
+    """The level of the pair (kind, n) in ``alphas``, checked to lie in (0, 1)."""
+    if (alpha := alphas.get((kind, n))) is None:
+        raise error(f"missing alpha for ({kind}, n={n})")
+    return _checks.level(alpha, f"alpha for ({kind}, n={n})", error)
 
 
 def _table_whole(value, name: str, least: int) -> int:
@@ -403,10 +399,7 @@ def analytic_table(
     dimension = _checks.whole(dimension, "dimension", 1)
     entries = []
     for kind, n in _entry_order(lengths):
-        alpha = alphas[(kind, n)]
-        if kind is StatKind.MU:
-            rho = analytic_threshold_mu(n, dimension, alpha)
-        else:
-            rho = analytic_threshold_sigma(n, dimension, alpha)
-        entries.append(ThresholdEntry(kind=kind, n=n, alpha=alpha, rho=rho, provenance="analytic"))
+        alpha = _alpha(alphas, kind, n)  # names the pair, as the law's own check does not
+        law = analytic_threshold_mu if kind is StatKind.MU else analytic_threshold_sigma
+        entries.append(ThresholdEntry(kind, n, alpha, law(n, dimension, alpha), "analytic"))
     return ThresholdTable(dimension=dimension, entries=tuple(entries))

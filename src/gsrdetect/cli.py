@@ -394,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     det.add_argument("--windows", type=_parse_windows, default=None)
     det.add_argument(
-        "--alpha-total", type=_probability("--alpha-total"), default=0.06
+        "--alpha-total", type=_probability("--alpha-total"), default=0.06,
+        help="level split of --analytic thresholds (a --thresholds table has its own levels)",
     )
     det.add_argument("--policy", choices=_POLICIES, default="halt")
     det.add_argument("--cooldown", type=int, default=None, help="cooldown steps")

@@ -22,12 +22,12 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _checks, windows
-from .calibration import ThresholdTable, _alpha_levels, analytic_table
+from .calibration import ThresholdTable, analytic_table
 from .ratios import GsrTriple, StatKind, _gsr_into, compute_gsr
 from .windows import ObservationWindow, _NonFiniteError, sliding_spanning_stats
 
@@ -64,24 +64,19 @@ def _split_exact(total: float, count: int) -> list[float]:
 
 
 def allocate_alphas(
-    alpha_total: float,
-    windows: Sequence[int],
-    families: Sequence[StatKind] = tuple(StatKind),
+    alpha_total: float, windows: Sequence[int]
 ) -> dict[tuple[StatKind, int], float]:
     """Bonferroni allocation of the total level across families and windows.
 
-    The default splits ``alpha_total`` equally over the three statistic
-    families and each family's share equally over the window lengths; rounding
-    is compensated on the last entry so the shares sum back exactly.
+    Splits ``alpha_total`` equally over the three statistic families and each
+    family's share equally over the window lengths; rounding is compensated on
+    the last entry so the shares sum back exactly.
     """
     _checks.level(alpha_total, "alpha_total")
     windows = _checks.half_lengths(windows)
-    families = tuple(families)
-    if not families:
-        raise ValueError("empty family set")
     alphas: dict[tuple[StatKind, int], float] = {}
-    family_shares = _split_exact(alpha_total, len(families))
-    for kind, family_alpha in zip(families, family_shares):
+    family_shares = _split_exact(alpha_total, len(StatKind))
+    for kind, family_alpha in zip(StatKind, family_shares):
         window_shares = _split_exact(family_alpha, len(windows))
         for n, a in zip(windows, window_shares):
             alphas[(kind, n)] = a
@@ -129,11 +124,11 @@ def events_from_jsonl(text: str) -> list[DetectionEvent]:
         events.append(
             DetectionEvent(
                 kind=doc["kind"],
-                change_at=int(doc["change_at"]),
-                window=int(doc["window"]),
-                statistic=float(doc["statistic"]),
-                threshold=float(doc["threshold"]),
-                detected_at=int(doc["detected_at"]),
+                change_at=_checks.whole(doc["change_at"], "change_at"),
+                window=_checks.whole(doc["window"], "window"),
+                statistic=_checks.finite(doc["statistic"], "statistic"),
+                threshold=_checks.finite(doc["threshold"], "threshold"),
+                detected_at=_checks.whole(doc["detected_at"], "detected_at"),
             )
         )
     return events
@@ -141,16 +136,17 @@ def events_from_jsonl(text: str) -> list[DetectionEvent]:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detector settings: window lengths, level allocation and policy.
+    """Detector settings: window lengths, total level and policy.
 
-    With ``alphas=None`` the per-(family, n) levels come from
-    :func:`allocate_alphas`.  ``cooldown`` defaults to twice the largest
-    window length, long enough for one change to clear every window.
+    Without a threshold table the detector tests against analytic thresholds
+    at the levels :func:`allocate_alphas` splits from ``alpha_total``; for
+    other per-(family, n) levels pass ``thresholds=analytic_table(windows, d,
+    alphas)``.  ``cooldown`` defaults to twice the largest window length, long
+    enough for one change to clear every window.
     """
 
     windows: tuple[int, ...]
     alpha_total: float = 0.06
-    alphas: Mapping[tuple[StatKind, int], float] | None = None
     policy: str = "halt"
     cooldown: int | None = None
 
@@ -161,14 +157,9 @@ class DetectorConfig:
             raise ValueError(f"policy must be one of {_POLICIES}, got {self.policy!r}")
         if self.cooldown is not None:
             object.__setattr__(self, "cooldown", _checks.whole(self.cooldown, "cooldown", 1))
-        if self.alphas is not None:
-            _alpha_levels(self.alphas, self.windows)  # raises on a missing or bad level
-        else:
-            _checks.level(self.alpha_total, "alpha_total")
+        _checks.level(self.alpha_total, "alpha_total")
 
     def resolved_alphas(self) -> dict[tuple[StatKind, int], float]:
-        if self.alphas is not None:
-            return dict(self.alphas)
         return allocate_alphas(self.alpha_total, sorted(self.windows))
 
     def resolved_cooldown(self) -> int:

@@ -190,18 +190,12 @@ class ObservationWindow:
         self._row_views = tuple(self._rows)  # a view of each, made once rather than per slide
 
     @classmethod
-    def from_observations(cls, observations, half_length: int | None = None) -> "ObservationWindow":
-        """Build a window by sliding in a block of observations.
-
-        With ``half_length`` omitted the block must have even length 2n and
-        fills the window exactly.
-        """
+    def from_observations(cls, observations) -> "ObservationWindow":
+        """Build a window by sliding in a block of 2n observations, which fills it exactly."""
         mat = _as_matrix(observations)
-        if half_length is None:
-            if mat.shape[0] % 2:
-                raise ValueError("need an even number of observations")
-            half_length = mat.shape[0] // 2
-        win = cls(half_length, mat.shape[1])
+        if mat.shape[0] % 2:
+            raise ValueError("need an even number of observations")
+        win = cls(mat.shape[0] // 2, mat.shape[1])
         for row in mat:
             win.slide(row)
         return win

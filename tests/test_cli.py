@@ -23,6 +23,7 @@ from gsrdetect.cli import (
     write_stream_csv,
 )
 from gsrdetect.distributions import derived_rng
+from gsrdetect.power import PowerQuery, delta_sigma
 from gsrdetect.simulate import static_power_grid
 from oracles import parse_outcome, per_cell_csv
 
@@ -78,6 +79,9 @@ class TestReadStreamCsv:
         f = tmp_path / "s.csv"
         data = derived_rng(0).standard_normal((20, 3))
         write_stream_csv(str(f), data)
+        np.testing.assert_array_equal(read_stream_csv(str(f)), data)
+        write_stream_csv(str(f), data, header=["x1", "x2", "x3"])
+        assert f.read_bytes().startswith(b"x1,x2,x3\r\n")
         np.testing.assert_array_equal(read_stream_csv(str(f)), data)
 
 
@@ -153,6 +157,8 @@ HOSTILE_CSV = {
     "only-blank-lines": "\n\n  \n",
     "header-only": "a,b\n",
     "header-only-then-blank": "t,a\n\n",
+    "label-then-number": "label,1\n",
+    "header-then-label-and-number": "x,y\nlabel,1\n",
     "quoted-line-end-in-header": f't,"a\n5",1,2,3\n{_TS[0]},3,4,5\n',
     "leading-blank-wide-header-ragged": f"\n{_TS[0]},1,2,x\n{_TS[1]},3,4\n{_TS[2]},5,6,7,8\n",
     "cell-over-csv-field-limit": "1,2\n3,4\n5," + "0" * 140_000 + "1\n",
@@ -263,6 +269,8 @@ class TestLogReturns:
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(ValueError, match="nonpositive"):
             log_returns(np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match="^need at least 2 rows to compute log returns$"):
+            log_returns(np.array([[1.0, 2.0]]))
 
 
 def _with_n5(doc, n):
@@ -319,6 +327,16 @@ class TestCalibrateCommand:
             main(["calibrate", "--dim", "2", "--windows", "5", "--alpha-total", "1.5"])
         assert exc.value.code == EXIT_USAGE
         assert "--alpha-total" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "windows, message",
+        [("1", "entries must be integers >= 2"), ("a", "must be a comma list of integers: 'a'")],
+    )
+    def test_invalid_windows_exit_2(self, capsys, windows, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--dim", "2", "--windows", windows])
+        assert exc.value.code == EXIT_USAGE
+        assert f"--windows {message}" in capsys.readouterr().err
 
     def test_unresolvable_quantile_exits_3(self, tmp_path):
         code = main(
@@ -398,6 +416,11 @@ class TestDetectCommand:
         )
         assert code == 0
         assert out.read_text().strip()
+
+    def test_analytic_thresholds_need_windows(self, tmp_path, capsys):
+        argv = ["detect", "--input", str(self._stream_csv(tmp_path)), "--analytic"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --analytic requires --windows\n"
 
     def test_constant_stream_no_events(self, tmp_path):
         f = tmp_path / "const.csv"
@@ -637,6 +660,13 @@ class TestPowerCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["minimum_radius"] == pytest.approx(29.44, abs=0.02)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_delta_sigma_value(self, capsys, side):
+        argv = ["power", "--quantity", f"delta-sigma-{side}", "--n", "30", "--d", "10"]
+        assert main(argv) == 0
+        query = PowerQuery(n=30, d=10, alpha=0.05, beta=0.1)
+        assert json.loads(capsys.readouterr().out) == {f"delta_sigma_{side}": delta_sigma(query, side)}
 
     def test_delta_mu_decreasing_in_beta(self, capsys):
         values = []

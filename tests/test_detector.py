@@ -1,5 +1,6 @@
 """Alpha allocation, the online detector, policies, and the batch path."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -14,6 +15,8 @@ from gsrdetect.calibration import (
     ThresholdEntry,
     ThresholdTable,
     analytic_table,
+    analytic_threshold_mu,
+    analytic_threshold_sigma,
     calibrate_monte_carlo,
     calibration_maxima,
 )
@@ -43,10 +46,6 @@ class TestAllocateAlphas:
         for kind in StatKind:
             family = [alphas[(kind, n)] for n in (20, 35, 50)]
             assert math.fsum(family) == pytest.approx(0.06 / 3, abs=1e-16)
-
-    def test_single_family_single_window(self):
-        alphas = allocate_alphas(0.04, (30,), families=(StatKind.MU,))
-        assert alphas == {(StatKind.MU, 30): 0.04}
 
     def test_sum_exact_for_two_windows(self):
         alphas = allocate_alphas(0.1, (10, 20))
@@ -92,6 +91,12 @@ def test_config_rejects_fractional_and_boolean_windows(n):
         DetectorConfig(windows=(4, n))
 
 
+def test_config_rejects_an_unknown_policy():
+    message = r"^policy must be one of \('halt', 'cooldown', 'continue'\), got 'bogus'$"
+    with pytest.raises(ValueError, match=message):
+        DetectorConfig(windows=(5,), policy="bogus")
+
+
 def test_dimension_must_be_a_whole_number():
     # 2.5 once slid 2-vectors against thresholds of the F law at d = 2.5
     config = DetectorConfig(windows=(5,))
@@ -133,11 +138,17 @@ def test_given_alphas_must_cover_every_family_and_window():
     ]
     for alphas, lengths, match in cases:
         with pytest.raises(ValueError, match=f"^{match}"):
-            DetectorConfig(windows=lengths, alphas=alphas)
-    config = DetectorConfig(windows=(5, 6), alphas=full)
-    det, y = Detector(config, 2), _shifted_stream(t_len=60, d=2, change_at=31, shift=3.0)
-    events = detect_stream(y, config)
+            analytic_table(lengths, 2, alphas)
+    config, table = DetectorConfig(windows=(5, 6)), analytic_table((5, 6), 2, full)
+    det, y = Detector(config, 2, table), _shifted_stream(t_len=60, d=2, change_at=31, shift=3.0)
+    events = detect_stream(y, config, table)
     assert events and [e for row in y for e in det.step(row)] == events
+    # levels other than the Bonferroni split reach each pair's law unchanged
+    levels = {(kind, n): 0.001 * (i + 1) for i, (kind, n) in enumerate(full)}
+    table = analytic_table((5, 6), 2, levels)
+    for (kind, n), a in levels.items():
+        law = analytic_threshold_mu if kind is StatKind.MU else analytic_threshold_sigma
+        assert table.entry(kind, n).alpha == a and table.threshold(kind, n) == law(n, 2, a)
 
 
 def test_config_stores_whole_float_windows_as_ints():
@@ -176,9 +187,10 @@ class TestDetectorStep:
     def test_no_events_before_warm(self):
         config = DetectorConfig(windows=(10,), alpha_total=0.5, policy="continue")
         det = Detector(config, dimension=1)
-        rng = derived_rng(1)
-        for t in range(19):
-            assert det.step(rng.standard_normal(1) * 10) == []
+        y = derived_rng(1).standard_normal((19, 1)) * 10
+        for row in y:
+            assert det.step(row) == []
+        assert detect_stream(y, config) == []  # shorter than every 2n: nothing to scan
 
     def test_halt_policy_stops_after_first_event(self):
         config = DetectorConfig(windows=(15,), alpha_total=0.01, policy="halt")
@@ -602,6 +614,11 @@ class TestDetectStreamBlocks:
             with pytest.raises(ValueError, match="^stream contains non-finite values$"):
                 detect_stream(y, DetectorConfig(windows=(2, 3)))
 
+    @pytest.mark.parametrize("shape", [(40,), (2, 40, 2)], ids=["1-D", "3-D"])
+    def test_stream_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=r"^stream must be a \(T, d\) array$"):
+            detect_stream(np.zeros(shape), DetectorConfig(windows=(5,)))
+
     def test_rejects_non_finite_in_stream_too_short_to_scan(self):
         config = DetectorConfig(windows=(5,))
         y = np.zeros((6, 2))
@@ -742,10 +759,23 @@ class TestEventSerialization:
         text = events_to_jsonl(events)
         assert text.count("\n") == 2
         assert events_from_jsonl(text) == events
+        assert events_from_jsonl(f"\n  \n{text}\n") == events  # blank lines are skipped
+        whole = text.replace('"window": 15', '"window": 15.0')
+        assert events_from_jsonl(whole) == events
+        assert all(type(e.window) is int for e in events_from_jsonl(whole))
+        # 3.7 once read as detected_at 3, and true as change_at 1
+        bad = [
+            ("detected_at", 3.7, "^detected_at must be a whole number, got 3.7$"),
+            ("change_at", True, "^change_at must be a whole number, got True$"),
+            ("window", "15", "^window must be a whole number, got '15'$"),
+            ("statistic", math.nan, "^statistic must be finite, got nan$"),
+            ("threshold", "2.5", "^threshold must be finite, got '2.5'$"),
+        ]
+        for field, value, message in bad:
+            with pytest.raises(ValueError, match=message):
+                events_from_jsonl(json.dumps({**events[0].as_dict(), field: value}))
 
     def test_jsonl_field_names(self):
-        import json
-
         event = DetectionEvent("VarianceDecrease", 3, 5, 1.5, 1.2, 7)
         doc = json.loads(events_to_jsonl([event]))
         assert set(doc) == {

@@ -140,6 +140,18 @@ class TestGaussianSample:
         with pytest.raises(ValueError):
             gaussian_sample([0.0, 0.0], [1.0, -1.0], 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "mean, message",
+        [
+            ([[0.0, 1.0]], "^mean must be a scalar or a vector$"),
+            ([0.0, np.nan], "^mean must be finite$"),
+        ],
+        ids=["2-D", "nan"],
+    )
+    def test_rejects_bad_mean(self, mean, message):
+        with pytest.raises(ValueError, match=message):
+            gaussian_sample(mean, 1.0, 10, seed=0)
+
     def test_count_must_be_a_whole_number(self):
         # 2.5 once drew 2 rows and True one row
         for bad in (2.5, True):

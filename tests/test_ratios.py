@@ -159,6 +159,8 @@ def test_effective_dof_bounds_and_errors():
         effective_dof([1.0, 0.0])
     with pytest.raises(ValueError):
         effective_dof([1.0, -2.0])
+    with pytest.raises(ValueError, match="^variances must be a nonempty vector$"):
+        effective_dof([])
 
 
 def _batch_ratios(y: np.ndarray):

@@ -312,6 +312,15 @@ class TestOnlineStudy:
             run_online_power(2, **{"windows": (5,), "samples": 200, field: value})
 
 
+@pytest.mark.parametrize(
+    "study", [lambda **kw: run_static_power(2, 5, **kw), lambda **kw: run_online_power(2, **kw)],
+    ids=["static", "online"],
+)
+def test_studies_reject_an_unknown_change(study):
+    with pytest.raises(ValueError, match=r"^change must be none\|mean\|variance, got 'bogus'$"):
+        study(change="bogus", samples=200)
+
+
 class TestStaticGrid:
     def test_grid_rows_complete(self):
         rows = static_power_grid((1, 4), (10, 12), "mean", samples=120, seed=8)

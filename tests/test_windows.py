@@ -55,6 +55,26 @@ def test_spanning_distance_rejects_bad_input():
         spanning_distance([[1.0, 2.0], [1.0]])
     with pytest.raises(ValueError):
         spanning_distance([[np.nan], [1.0]])
+    with pytest.raises(ValueError, match="^no observations given$"):
+        spanning_distance([])
+    with pytest.raises(ValueError, match="^observations contain non-finite values$"):
+        spanning_distance(np.array([[1.0], [np.inf]]))
+    with pytest.raises(ValueError, match=r"^observation must be a vector, got shape \(1, 2\)$"):
+        spanning_distance([[[1.0, 2.0]], [[3.0, 4.0]]])
+    assert spanning_distance([1.0, 3.0]) == 4.0  # scalars are 1-vectors
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (np.zeros((3, 2)), "^need an even number of observations$"),
+        (np.array([[0.0, 1.0], [np.nan, 1.0]]), "^observations contain non-finite values$"),
+    ],
+    ids=["odd", "non-finite"],
+)
+def test_from_observations_rejects_bad_blocks(block, message):
+    with pytest.raises(ValueError, match=message):
+        ObservationWindow.from_observations(block)
 
 
 def test_decompose_example_window():
@@ -125,6 +145,13 @@ def test_slide_rejects_dimension_mismatch_and_nonfinite():
         win.slide([1.0])
     with pytest.raises(ValueError, match="non-finite"):
         win.slide([1.0, np.inf])
+    with pytest.raises(ValueError, match="must be a vector"):
+        win.slide([[1.0, 2.0]])
+    scalars = ObservationWindow(2, 1)
+    for y in (0.0, 1.0, 3.0, 4.0):
+        scalars.slide(y)
+    block = ObservationWindow.from_observations([[0.0], [1.0], [3.0], [4.0]])
+    assert scalars.decompose() == block.decompose()
 
 
 @pytest.mark.parametrize(
