@@ -73,11 +73,14 @@ def _as_real(value) -> float:
     return float(value) if type(value) in _REALS or is_real(value) else math.nan
 
 
-def level(value, name: str, error=ValueError) -> float:
-    """``value`` as a float strictly between 0 and 1: a significance level or a miss rate."""
+def level(value, name, error=ValueError) -> float:
+    """``value`` as a float strictly between 0 and 1: a significance level or a miss rate.
+
+    ``name`` is a string, or a function returning one that only a failure calls.
+    """
     x = _as_real(value)
     if not 0.0 < x < 1.0:
-        raise error(f"{name} not in (0, 1): {value!r}")
+        raise error(f"{name() if callable(name) else name} not in (0, 1): {value!r}")
     return x
 
 

@@ -146,7 +146,7 @@ def _alpha(alphas, kind: StatKind, n: int, error=ValueError) -> float:
     """The level of the pair (kind, n) in ``alphas``, checked to lie in (0, 1)."""
     if (alpha := alphas.get((kind, n))) is None:
         raise error(f"missing alpha for ({kind}, n={n})")
-    return _checks.level(alpha, f"alpha for ({kind}, n={n})", error)
+    return _checks.level(alpha, lambda: f"alpha for ({kind}, n={n})", error)
 
 
 def _table_whole(value, name: str, least: int) -> int:
@@ -174,12 +174,16 @@ class ThresholdEntry:
     def __post_init__(self):
         object.__setattr__(self, "kind", StatKind(self.kind))
         object.__setattr__(self, "n", _table_whole(self.n, "n", 2))
-        pair = f"({self.kind}, n={self.n})"
-        object.__setattr__(self, "alpha", _checks.level(self.alpha, f"alpha for {pair}"))
+        alpha = _checks.level(self.alpha, lambda: f"alpha for {self._pair()}")
+        object.__setattr__(self, "alpha", alpha)
         if not _checks.is_real(self.rho):
-            raise ValueError(f"threshold for {pair} is not a real number: {self.rho!r}")
+            raise ValueError(f"threshold for {self._pair()} is not a real number: {self.rho!r}")
         if not math.isfinite(self.rho):
-            raise ValueError(f"threshold for {pair} is not finite: {self.rho}")
+            raise ValueError(f"threshold for {self._pair()} is not finite: {self.rho}")
+
+    def _pair(self) -> str:
+        """The entry's name in a failure's message, formatted only then."""
+        return f"({self.kind}, n={self.n})"
 
 
 @dataclass(frozen=True)

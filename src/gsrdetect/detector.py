@@ -1,11 +1,11 @@
 """Multi-window online change-point detector.
 
-Each incoming observation advances one sliding window per configured
-half-length n.  A warm window tests its three ratio statistics against
-per-(family, n) thresholds; an exceedance is reported as an event whose
-estimated change time is ``t - n + 1`` (the first observation of the window's
-newer half), where t is the 1-based stream position of the observation that
-triggered it.
+Each incoming observation advances one sliding window of every configured
+half-length n, all lengths sharing one set of prefix sums.  A warm window
+tests its three ratio statistics against per-(family, n) thresholds; an
+exceedance is reported as an event whose estimated change time is
+``t - n + 1`` (the first observation of the window's newer half), where t is
+the 1-based stream position of the observation that triggered it.
 
 The total significance level is split across the three statistic families and
 then equally across window lengths (Bonferroni), so that under the null the
@@ -254,8 +254,11 @@ class Detector:
         self.dimension = dimension
         self.thresholds, rhos = _resolve_thresholds(config, dimension, thresholds)
         self._rhos = rhos.tolist()  # per family, one threshold per ascending window
-        # Ascending n, so each tick's events come out window-ascending.
-        self._windows = {n: ObservationWindow(n, dimension) for n in sorted(config.windows)}
+        # One window slides every length.  Each warm window is decomposed by one
+        # decompose() call on a view of its own length, in ascending n, so each
+        # tick's events come out window-ascending.
+        self._window = ObservationWindow(config.windows, dimension)
+        self._views = [(n, self._window._of_length(n)) for n in sorted(config.windows)]
         self._clock = 0
         self._gap = _quiet_gap(config)
         self._quiet_until = 0  # last tick whose exceedances are not reported
@@ -270,18 +273,21 @@ class Detector:
         return self._quiet_until == math.inf
 
     def _current_triples(self) -> dict[int, GsrTriple]:
-        triples = {}
-        for n, win in self._windows.items():
-            if not win.is_warm:  # nor is any longer one: windows ascend
+        triples, clock = {}, self._clock
+        for n, win in self._views:
+            if clock < 2 * n:  # nor is any longer window warm: they ascend
                 break
-            triples[n] = compute_gsr(win.decompose(), self._clock - n + 1)
+            triples[n] = compute_gsr(win.decompose(), clock - n + 1)
         return triples
 
     def step(self, observation) -> list[DetectionEvent]:
-        """Consume one observation and return the events it triggers (often none)."""
-        for win in self._windows.values():
-            win.slide(observation)
-        self._clock += 1  # only once every window has accepted the observation
+        """Consume one observation and return the events it triggers (often none).
+
+        The observation slides the one window of every length once; a tick
+        outside a quiet period then decomposes and tests each warm length.
+        """
+        self._window.slide(observation)
+        self._clock += 1  # only once the window has accepted the observation
         if self._clock <= self._quiet_until:
             return []
         triples = self._current_triples()

@@ -21,9 +21,12 @@ anchored on its own first row.  A block with fewer window positions p than
 n forms only the half-windows those windows span, [0, p) and [n, n + p): two
 for a static window rather than n + 1.
 ``spanning_distance`` is one half-window.  ``ObservationWindow`` keeps the batch
-path's sums at O(d) per observation and equals it bit for bit.  The rounding
-error grows with the data's spread between a window and its anchor, not with
-its stream position.
+path's sums incrementally, for one window length or several, and equals it bit
+for bit: each observation is checked once and added to the prefix sums of the
+anchor rows in use, which every length shares (one anchor, but for the
+2 max(n) rows after each new one), and each length takes its halves at O(d).
+The rounding error grows with the data's spread between a window and its
+anchor, not with its stream position.
 """
 
 from __future__ import annotations
@@ -69,8 +72,6 @@ _ROW_SUM_MIN = 512
 _SPLIT_VALUES = 2**16
 
 _NON_FINITE = "observations contain non-finite values"
-
-_PAIRED = np.array([0, 1, 2, 1])  # ObservationWindow's rows (c, L, R, R) against (c, L, R, L)
 
 
 class _NonFiniteError(ValueError):
@@ -160,8 +161,44 @@ class SpanningDecomposition:
     w_btw: float
 
 
+class _Prefixes:
+    """The state that the windows of every length on one stream share.
+
+    Each anchor row A, a multiple of ``_BLOCK``, starts a history of the
+    kernel's ``S1`` and ``S2`` centred on that row, from ``S1[0] = 0``, of
+    which the latest 2 max(n) positions are kept.  Length n's window starting
+    at row q reads the history anchored on ``q - q % _BLOCK``, as
+    ``_blocks`` anchors it, so an older history is extended until the longest
+    window starts at or after the next anchor: about 2 max(n) rows in each
+    ``_BLOCK``.
+    """
+
+    def __init__(self, lengths: tuple[int, ...], dim: int):
+        k = len(lengths)
+        self.lengths, self.dim, self.shape = lengths, dim, (dim,)
+        self.clock = 0  # observations accepted
+        self.depth = 2 * lengths[-1]  # positions kept per history
+        self.obs = deque(maxlen=self.depth)  # copies of the latest observations
+        # Per live anchor, oldest first: its row index, the row, and its S1 and S2 histories.
+        self.histories: list = []
+        self.sums: dict = {}  # warm n: |L|^2, |R|^2, L.R, w_left and w_right before clamping
+        self.origin = np.zeros(dim)  # S1[0] of every history
+        # Reused rows c, L and R of each n, and a spare: every einsum reduces two
+        # rows or more, as the batch path reduces them (einsum splits a lone long
+        # row differently).  A length's rows stay zero until it is warm.
+        self.rows = np.zeros((2 * k + 2, dim))
+        self.centred = self.rows[0]
+        # Each n's L against its R, and then the shortest n's R against the spare.
+        self.pairs = (self.rows[1 : k + 2], self.rows[k + 1 :])
+        # Each n's rows, and -1: the history every length reads while only one is in use.
+        self.slots = [
+            (n, self.rows[1 + i], self.rows[1 + k + i], -1) for i, n in enumerate(lengths)
+        ]
+        self.older = np.zeros((2, dim))  # c on an older anchor, and a spare
+
+
 class ObservationWindow:
-    """The last 2n observations, oldest first, with anchored prefix sums.
+    """The last 2n observations, oldest first, with anchored prefix sums, for one n or several.
 
     The left half holds the n oldest buffered observations, the right half the
     n newest.  Observations are fed one at a time with :meth:`slide`; the
@@ -169,25 +206,29 @@ class ObservationWindow:
     oldest observation, migrates the boundary observation from the right half
     to the left, and appends the incoming one.
 
+    ``half_length`` may be a sequence of distinct lengths: one slide then
+    checks and copies the observation once and extends one set of prefix sums
+    for every length.  :meth:`decompose` takes the length to decompose, and
+    the other methods and properties refer to the longest length.
+
     A window is a single-owner value: slides mutate it in place and return it
-    for convenience, and it keeps its own copy of each observation.  It
-    re-anchors on its oldest row whenever the window start is a multiple of
-    ``_BLOCK``, counted from its first observation, as
-    ``sliding_spanning_stats`` does, so constant streams yield exactly zero
-    distances and :meth:`decompose` equals the batch path bit for bit.
+    for convenience, and it keeps its own copy of each observation.  Its sums
+    are anchored on every ``_BLOCK``-th row from its first observation on, the
+    rows that ``sliding_spanning_stats`` anchors on, so constant streams yield
+    exactly zero distances and :meth:`decompose` equals the batch path bit for
+    bit.
     """
 
-    def __init__(self, half_length: int, dim: int):
-        self._n = _checks.half_length(half_length)
-        self._d = _checks.whole(dim, "dimension", 1)
-        self._obs = deque(maxlen=2 * self._n)  # copies of the observations
-        # Set at warm-up by _reanchor: the anchor row, the last 2n + 1 entries
-        # of the kernel's S1 and S2 (_pre, _pre_sq), oldest first, and the
-        # current window's |L|^2, |R|^2, L.R, w_left and w_right before clamping.
-        self._anchor = self._pre = self._pre_sq = self._sums = None
-        self._slides = 0  # slides since the last anchor
-        self._rows = np.zeros((4, self._d))  # reused rows: c, L, R and R again
-        self._row_views = tuple(self._rows)  # a view of each, made once rather than per slide
+    def __init__(self, half_length: int | Sequence[int], dim: int):
+        lengths = _checks.half_lengths([half_length] if np.ndim(half_length) == 0 else half_length)
+        self._s = _Prefixes(tuple(sorted(lengths)), _checks.whole(dim, "dimension", 1))
+        self._n = max(lengths)
+
+    def _of_length(self, n: int) -> "ObservationWindow":
+        """The window of length n on this window's observations, which slide with it."""
+        view = object.__new__(ObservationWindow)
+        view._s, view._n = self._s, n
+        return view
 
     @classmethod
     def from_observations(cls, observations) -> "ObservationWindow":
@@ -206,93 +247,107 @@ class ObservationWindow:
 
     @property
     def dimension(self) -> int:
-        return self._d
+        return self._s.dim
 
     @property
     def count(self) -> int:
         """Observations currently buffered (at most 2n)."""
-        return len(self._obs)
+        return min(self._s.clock, 2 * self._n)
 
     @property
     def is_warm(self) -> bool:
-        return len(self._obs) == 2 * self._n
+        return self._s.clock >= 2 * self._n
 
     def left_half(self) -> np.ndarray:
         """Copy of the n oldest observations, oldest first (warm windows only)."""
-        self._require_warm()
-        return np.array(self._obs)[: self._n]
+        self._require_warm(self._n)
+        return np.array(self._s.obs)[-2 * self._n : -self._n]
 
     def right_half(self) -> np.ndarray:
         """Copy of the n newest observations, oldest first (warm windows only)."""
-        self._require_warm()
-        return np.array(self._obs)[self._n :]
+        self._require_warm(self._n)
+        return np.array(self._s.obs)[-self._n :]
 
-    def _require_warm(self) -> None:
-        if not self.is_warm:
+    def _require_warm(self, n) -> None:
+        s = self._s
+        if n not in s.lengths:
+            raise ValueError(f"no window of half-length {n!r}: the half-lengths are {s.lengths}")
+        if s.clock < 2 * n:
             raise ValueError(
-                f"window not warm: has {self.count} of {2 * self._n} observations"
+                f"window not warm: has {min(s.clock, 2 * n)} of {2 * n} observations"
             )
 
-    def _reanchor(self) -> None:
-        """Rebuild the sums on the oldest buffered row, as the batch path anchors a block."""
-        rows = np.array(self._obs)
-        s1, s2 = _anchored_block(rows[:-1])
-        self._anchor = rows[0]
-        self._pre, self._pre_sq = deque(s1, len(rows) + 1), deque(s2.tolist(), len(rows) + 1)
-        self._extend(rows[-1])
-        self._slides = 0
-
-    def _extend(self, y: np.ndarray) -> None:
-        """Extend the sums by prefix position p, row ``y``, in the batch path's order.
-
-        ``S1[p] = S1[p - 1] + c``, with halves ``L = S1[p - n] - S1[p - 2n]``
-        and ``R = S1[p] - S1[p - n]``; a non-finite row raises before any change.
-        """
-        n, rows, pre, pre_sq = self._n, self._rows, self._pre, self._pre_sq
-        c, left, right, right_again = self._row_views
-        np.subtract(y, self._anchor, out=c)
-        s1 = pre[-1] + c
-        np.subtract(pre[-n], pre[-2 * n], out=left)
-        np.subtract(s1, pre[-n], out=right)
-        right_again[...] = right
-        # |c|^2, |L|^2, |R|^2 and L.R in one einsum over several rows, as the
-        # batch path reduces them (einsum splits a lone long row differently).
-        sq, left_sq, right_sq, cross = np.einsum("ij,ij->i", rows, rows[_PAIRED]).tolist()
-        # The squared norm is non-finite if the observation is (or overflows).
-        if not math.isfinite(sq) and not np.all(np.isfinite(y)):
-            raise ValueError("observation contains non-finite values")
-        s2 = pre_sq[-1] + sq
-        w_left = (pre_sq[-n] - pre_sq[-2 * n]) * n - left_sq
-        self._sums = (left_sq, right_sq, cross, w_left, (s2 - pre_sq[-n]) * n - right_sq)
-        pre.append(s1)
-        pre_sq.append(s2)
-
     def slide(self, incoming) -> "ObservationWindow":
-        """Feed one observation; fills the window during warm-up, slides after.
+        """Feed one observation to the window of every length.
 
-        Returns the (mutated) window itself.
+        Each live history's ``S1`` and ``S2`` are extended by the row in the
+        batch path's order, ``S1[p] = S1[p - 1] + c``, and each warm n takes
+        ``L = S1[p - n] - S1[p - 2n]`` and ``R = S1[p] - S1[p - n]`` from the
+        history it reads; one einsum gives the squared norms of c and of every
+        L and R, and one the cross products.  A rejected observation changes
+        nothing.  Returns the (mutated) window itself.
         """
-        n, obs = self._n, self._obs
-        if len(obs) < 2 * n:
-            obs.append(_as_observation(incoming, self._d).copy())
-            if len(obs) == 2 * n:
-                self._reanchor()
-            return self
-
+        s = self._s
         y = np.array(incoming, dtype=float)
-        if y.shape != self._anchor.shape:
-            y = _as_observation(y, self._d)
-        self._extend(y)
-        obs.append(y)
-        self._slides += 1
-        if self._slides == _BLOCK:
-            self._reanchor()
+        if y.shape != s.shape:
+            y = _as_observation(y, s.dim)
+        clock, block, histories = s.clock + 1, _BLOCK, s.histories
+        if histories and clock - s.depth >= histories[0][0] + block:
+            histories = histories[1:]  # the longest window has left the oldest anchor's block
+        newest = (clock - 1) // block  # the anchor block of the incoming row
+        if newest * block == clock - 1:  # an anchor row, checked in full before it anchors
+            y = _as_observation(y, s.dim)
+            start = (clock - 1, y, deque([s.origin], s.depth), deque([0.0], s.depth))
+            histories = [*histories, start]
+        # Each history's S1 at the new row, and |c|^2 on the older anchors.
+        s1s, sqs = [], []
+        for _, anchor, pre, _ in histories[:-1]:
+            np.subtract(y, anchor, out=s.older[0])
+            s1s.append(pre[-1] + s.older[0])
+            sqs.append(np.einsum("ij,ij->i", s.older, s.older).tolist()[0])
+        _, anchor, pre, _ = histories[-1]
+        np.subtract(y, anchor, out=s.centred)
+        s1s.append(pre[-1] + s.centred)
+        # Each warm n's rows, and the history its window reads, counted from the newest.
+        if len(histories) == 1 and clock >= s.depth:
+            warm = s.slots  # every length is warm and reads the one history
+        else:
+            warm = [(n, left, right, (clock - 2 * n) // block - newest - 1)
+                    for n, left, right, _ in s.slots if 2 * n <= clock]
+        for n, left, right, h in warm:
+            pre = histories[h][2]
+            np.subtract(pre[-n], pre[-2 * n], out=left)
+            np.subtract(s1s[h], pre[-n], out=right)
+        norms = np.einsum("ij,ij->i", s.rows, s.rows).tolist()
+        cross = np.einsum("ij,ij->i", *s.pairs).tolist()
+        # The squared norm is non-finite if the observation is (or overflows).
+        if not math.isfinite(norms[0]) and not np.all(np.isfinite(y)):
+            raise ValueError("observation contains non-finite values")
+
+        sqs.append(norms[0])
+        s2s = [history[3][-1] + sq for history, sq in zip(histories, sqs)]
+        sums, right_norms = {}, norms[1 + len(s.slots) :]
+        for (n, _, _, h), left_sq, right_sq, lr in zip(warm, norms[1:], right_norms, cross):
+            pre_sq = histories[h][3]
+            w_left = (pre_sq[-n] - pre_sq[-2 * n]) * n - left_sq
+            sums[n] = (left_sq, right_sq, lr, w_left, (s2s[h] - pre_sq[-n]) * n - right_sq)
+        for (_, _, pre, pre_sq), s1, s2 in zip(histories, s1s, s2s):
+            pre.append(s1)
+            pre_sq.append(s2)
+        s.obs.append(y)
+        s.clock, s.histories, s.sums = clock, histories, sums
         return self
 
-    def decompose(self) -> SpanningDecomposition:
-        """Spanning decomposition of the current warm window."""
-        self._require_warm()
-        left_sq, right_sq, cross, w_left, w_right = self._sums
+    def decompose(self, half_length: int | None = None) -> SpanningDecomposition:
+        """Spanning decomposition of the current warm window of length ``half_length``.
+
+        ``None`` names the window's own length, the longest of several.
+        """
+        n = self._n if half_length is None else half_length
+        sums = self._s.sums.get(n)
+        if sums is None:
+            self._require_warm(n)
+        left_sq, right_sq, cross, w_left, w_right = sums
         # The batch path's order: (|L|^2 + |R|^2 - 2 L.R) + 2 (w_left + w_right),
         # then negative cancellation residue is clamped to zero, each clamp exactly
         # max(x, 0.0) without the builtin's call.

@@ -28,7 +28,7 @@ from gsrdetect.cli import _parse_cells, read_stream_csv
 from gsrdetect.detector import Detector, DetectorConfig, detect_stream
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
-from gsrdetect.windows import _column, _window_scan, sliding_spanning_stats
+from gsrdetect.windows import ObservationWindow, _column, _window_scan, sliding_spanning_stats
 from oracles import parse_outcome, replication_overlap, scan_split
 
 BLOCK = 16
@@ -228,6 +228,41 @@ def test_split_scan_equals_serial_scan(case, policy, ties):
     for want, got in zip(serial, split):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
     assert split_events == serial_events == stepped
+
+
+@st.composite
+def reanchored_streams(draw):
+    """(block, stream, window lengths): blocks of 1 to 40 window positions, so fewer
+    or more than 2 max(n), over a stream of at most four blocks."""
+    block = draw(st.integers(1, 40))
+    return (block, *draw(streams(block=block)))
+
+
+@_settings(150)
+@given(case=reanchored_streams(), random=st.randoms(use_true_random=False))
+def test_window_of_several_lengths_equals_single_lengths_and_the_batch_path(case, random):
+    # one history while a block lasts, several while windows straddle anchors
+    block, y, lengths = case
+    lengths = random.sample(lengths, len(lengths))  # columns follow the order given
+    d = y.shape[1]
+    with mock.patch.object(windows_module, "_BLOCK", block):
+        batch = sliding_spanning_stats(y, lengths)
+        window = ObservationWindow(lengths, d)
+        singles = [ObservationWindow(n, d) for n in lengths]
+        for t, row in enumerate(y, start=1):
+            window.slide(row)
+            for j, (n, single) in enumerate(zip(lengths, singles)):
+                if not single.slide(row).is_warm:
+                    continue
+                got, i = window.decompose(n), t - 2 * min(lengths)
+                assert got == single.decompose(), (t, n)
+                want = (batch.w_left[i, j], batch.w_right[i, j], batch.w_full[i, j])
+                assert (got.w_left, got.w_right, got.w_full) == want, (t, n)
+    longest = singles[int(np.argmax(lengths))]
+    assert window.count == longest.count
+    if window.is_warm:
+        assert np.array_equal(window.left_half(), longest.left_half())
+        assert np.array_equal(window.right_half(), longest.right_half())
 
 
 HOSTILE_CELLS = (

@@ -68,6 +68,30 @@ def test_both_detection_paths_report_under_their_traced_names():
     assert not silent, f"traced callables never called: {silent}"
 
 
+def test_each_step_slides_one_window_and_tests_each_decomposed_window():
+    # one window serves every length: one slide per step, one ratio pass per decomposition
+    tracing = _load_tracing()
+    detector = importlib.import_module(f"{tracing.PACKAGE}.detector")
+    stream = np.random.default_rng(5).normal(size=(40, 2))
+    config = detector.DetectorConfig(windows=(4, 6, 9), policy="continue")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        online = detector.Detector(config, 2)
+        for row in stream:
+            online.step(row)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    calls = {
+        name: tracing.layer_metric(f"{name}.calls", totals, tracer.counters)
+        for name in ("windows.slide", "detector.step", "windows.decompose", "ratios.compute_gsr")
+    }
+    assert calls["windows.slide"] == calls["detector.step"] == 40
+    # warm windows of 4, 6 and 9 from ticks 8, 12 and 18 on
+    assert calls["windows.decompose"] == calls["ratios.compute_gsr"] == 33 + 29 + 23
+
+
 def test_detect_stream_scans_every_window_in_one_traced_call():
     # one kernel pass serves every window length, and reports once per scan
     tracing = _load_tracing()

@@ -206,6 +206,80 @@ def test_window_owns_observations_fed_through_one_buffer():
     np.testing.assert_array_equal(win.right_half(), stream[-n:])
 
 
+def _decompositions(win, lengths, t):
+    """Each warm length's (w_left, w_right, w_full) of a window of several lengths at clock t."""
+    return {
+        n: (dec.w_left, dec.w_right, dec.w_full)
+        for n in lengths
+        if t >= 2 * n
+        for dec in [win.decompose(n)]
+    }
+
+
+def _batch_decompositions(batch, lengths, t):
+    """The same from ``sliding_spanning_stats(stream, lengths)``'s columns."""
+    row = t - 2 * min(lengths)
+    return {
+        n: (batch.w_left[row, j], batch.w_right[row, j], batch.w_full[row, j])
+        for j, n in enumerate(lengths)
+        if t >= 2 * n
+    }
+
+
+@pytest.mark.parametrize("lengths", [(2, 3, 5), (4, 7, 20)])
+@pytest.mark.parametrize(
+    "fed",
+    # with 16 positions a block: the next row anchors a history, the shortest
+    # length's window moves onto row 32, and the longest's does, dropping the older history
+    [32, "shortest", "longest"],
+)
+def test_rejected_slide_leaves_several_lengths_unchanged(monkeypatch, lengths, fed):
+    monkeypatch.setattr(windows_module, "_BLOCK", 16)
+    fed = {"shortest": 31 + 2 * min(lengths), "longest": 31 + 2 * max(lengths)}.get(fed, fed)
+    stream = np.random.default_rng(8).normal(size=(100, 3)) * 2.0
+    stream += np.linspace(0.0, 30.0, 100)[:, None]  # a drift makes rounding visible
+    batch = sliding_spanning_stats(stream, lengths)
+    win = ObservationWindow(lengths, 3)
+    for row in stream[:fed]:
+        win.slide(row)
+    before = _decompositions(win, lengths, fed)
+    assert before == _batch_decompositions(batch, lengths, fed)
+    bad_rows = [([0.5, bad, 1.0], "non-finite") for bad in (np.nan, np.inf, -np.inf)]
+    for bad, match in bad_rows + [([0.5, 1.0], "dimension")]:
+        with pytest.raises(ValueError, match=match):
+            win.slide(bad)
+        assert win.count == min(fed, 2 * max(lengths))
+        assert _decompositions(win, lengths, fed) == before
+    for t, row in enumerate(stream[fed:], start=fed + 1):
+        win.slide(row)
+        assert _decompositions(win, lengths, t) == _batch_decompositions(batch, lengths, t), t
+
+
+def test_several_lengths_share_one_window():
+    # decompose(n) names a length; everything else refers to the longest
+    stream = np.random.default_rng(9).normal(size=(12, 2))
+    win, singles = ObservationWindow((3, 5, 2), 2), [ObservationWindow(n, 2) for n in (2, 3, 5)]
+    assert (win.half_length, win.dimension) == (5, 2)
+    with pytest.raises(ValueError, match="^window not warm: has 0 of 4 observations$"):
+        win.decompose(2)
+    for t, row in enumerate(stream, start=1):
+        assert win.slide(row) is win
+        assert (win.count, win.is_warm) == (min(t, 10), t >= 10)
+        for single in singles:
+            if single.slide(row).is_warm:
+                assert win.decompose(single.half_length) == single.decompose()
+    assert win.decompose() == win.decompose(5)
+    np.testing.assert_array_equal(win.left_half(), stream[2:7])
+    np.testing.assert_array_equal(win.right_half(), stream[7:])
+    message = "no window of half-length 4: the half-lengths are (2, 3, 5)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        win.decompose(4)
+    for lengths, message in [((), "at least one window half-length is required"),
+                             ((3, 3), "window lengths must be distinct, got (3, 3)")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ObservationWindow(lengths, 2)
+
+
 def test_incremental_matches_enumeration_over_many_slides():
     rng = np.random.default_rng(2)
     n, d = 5, 3
@@ -317,6 +391,29 @@ def test_decompose_equals_batch_bit_for_bit_in_long_rows(t_len):
     for name in ("w_left", "w_right", "w_full"):
         assert np.array_equal(getattr(batch, name), getattr(window, name)), name
     _assert_anchored_left_halves_are_spanning_distances(stream, 2, batch)
+
+
+@pytest.mark.parametrize("d", [1, 8, 100])
+@pytest.mark.parametrize("lengths", [(20, 35, 50), (5,), (2, 3)])
+def test_several_lengths_decompose_equals_batch_bit_for_bit_across_blocks(d, lengths):
+    # one window of every length against the batch path's columns, over two anchor blocks
+    rng = np.random.default_rng(10 * d + len(lengths))
+    t_len = 2 * _BLOCK + 2 * max(lengths) + 40
+    stream = rng.normal(size=(t_len, d)) * 3.0 + np.linspace(0.0, 40.0, t_len)[:, None]
+    batch, win = sliding_spanning_stats(stream, lengths), ObservationWindow(lengths, d)
+    for t, row in enumerate(stream, start=1):
+        win.slide(row)
+        assert _decompositions(win, lengths, t) == _batch_decompositions(batch, lengths, t), t
+
+
+@pytest.mark.parametrize("t_len", [8, 13])
+def test_several_lengths_decompose_equals_batch_bit_for_bit_in_long_rows(t_len):
+    stream = np.random.default_rng(t_len).normal(size=(t_len, 10_001)) * 3.0 + 7.0
+    lengths = (2, 4)
+    batch, win = sliding_spanning_stats(stream, lengths), ObservationWindow(lengths, 10_001)
+    for t, row in enumerate(stream, start=1):
+        win.slide(row)
+        assert _decompositions(win, lengths, t) == _batch_decompositions(batch, lengths, t), t
 
 
 def test_sliding_spanning_stats_rejects_short_streams():
