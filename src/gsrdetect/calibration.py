@@ -150,7 +150,7 @@ def _alpha(alphas, kind: StatKind, n: int, error=ValueError) -> float:
 
 
 def _table_whole(value, name: str, least: int) -> int:
-    """A threshold table's dimension or window half-length, as an int."""
+    """A threshold table's dimension, window half-length or provenance count, as an int."""
     if not _checks.is_whole(value) or value < least:
         raise ValueError(
             f"threshold table's {name} must be a whole number of at least {least}, got {value!r}"
@@ -188,7 +188,12 @@ class ThresholdEntry:
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Calibrated critical values, keyed by (statistic kind, window half-length)."""
+    """Calibrated critical values, keyed by (statistic kind, window half-length).
+
+    ``seed``, ``replications`` (JSON ``K``) and ``zone_length`` (``N``) record a
+    Monte Carlo calibration: each is None or a whole number, at least 0 for the
+    seed and at least 1 for the others.
+    """
 
     dimension: int
     entries: tuple[ThresholdEntry, ...]
@@ -199,6 +204,9 @@ class ThresholdTable:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _table_whole(self.dimension, "dimension", 1))
+        for name, least in (("seed", 0), ("replications", 1), ("zone_length", 1)):
+            if (value := getattr(self, name)) is not None:  # provenance, where known
+                object.__setattr__(self, name, _table_whole(value, name, least))
         index = {(e.kind, e.n): e for e in self.entries}
         if len(index) != len(self.entries):
             raise ValueError("duplicate (kind, n) entries in threshold table")

@@ -116,21 +116,29 @@ def events_to_jsonl(events: Iterable[DetectionEvent]) -> str:
 
 
 def events_from_jsonl(text: str) -> list[DetectionEvent]:
-    events = []
+    """Events from JSON-lines, one object per non-blank line, each field checked."""
+    events, kinds = [], tuple(EVENT_KIND.values())
     for line in text.splitlines():
         if not line.strip():
             continue
         doc = json.loads(line)
-        events.append(
-            DetectionEvent(
-                kind=doc["kind"],
-                change_at=_checks.whole(doc["change_at"], "change_at"),
-                window=_checks.whole(doc["window"], "window"),
-                statistic=_checks.finite(doc["statistic"], "statistic"),
-                threshold=_checks.finite(doc["threshold"], "threshold"),
-                detected_at=_checks.whole(doc["detected_at"], "detected_at"),
+        if not isinstance(doc, dict):
+            raise ValueError(f"event record must be a JSON object, got {type(doc).__name__}")
+        try:
+            if (kind := doc["kind"]) not in kinds:
+                raise ValueError(f"kind must be one of {kinds}, got {kind!r}")
+            events.append(
+                DetectionEvent(
+                    kind=kind,
+                    change_at=_checks.whole(doc["change_at"], "change_at"),
+                    window=_checks.whole(doc["window"], "window"),
+                    statistic=_checks.finite(doc["statistic"], "statistic"),
+                    threshold=_checks.finite(doc["threshold"], "threshold"),
+                    detected_at=_checks.whole(doc["detected_at"], "detected_at"),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"event record lacks the field {exc.args[0]!r}") from None
     return events
 
 
@@ -254,30 +262,29 @@ class Detector:
         self.dimension = dimension
         self.thresholds, rhos = _resolve_thresholds(config, dimension, thresholds)
         self._rhos = rhos.tolist()  # per family, one threshold per ascending window
-        # One window slides every length.  Each warm window is decomposed by one
-        # decompose() call on a view of its own length, in ascending n, so each
-        # tick's events come out window-ascending.
+        # One window slides every length, and its clock is the detector's.  Each
+        # warm length is decomposed in ascending n, so each tick's events come
+        # out window-ascending.
         self._window = ObservationWindow(config.windows, dimension)
-        self._views = [(n, self._window._of_length(n)) for n in sorted(config.windows)]
-        self._clock = 0
         self._gap = _quiet_gap(config)
         self._quiet_until = 0  # last tick whose exceedances are not reported
 
     @property
     def clock(self) -> int:
         """Number of observations consumed so far."""
-        return self._clock
+        return self._window._clock
 
     @property
     def halted(self) -> bool:
         return self._quiet_until == math.inf
 
     def _current_triples(self) -> dict[int, GsrTriple]:
-        triples, clock = {}, self._clock
-        for n, win in self._views:
+        window = self._window
+        triples, clock = {}, window._clock
+        for n in window._lengths:
             if clock < 2 * n:  # nor is any longer window warm: they ascend
                 break
-            triples[n] = compute_gsr(win.decompose(), clock - n + 1)
+            triples[n] = compute_gsr(window.decompose(n), clock - n + 1)
         return triples
 
     def step(self, observation) -> list[DetectionEvent]:
@@ -286,9 +293,8 @@ class Detector:
         The observation slides the one window of every length once; a tick
         outside a quiet period then decomposes and tests each warm length.
         """
-        self._window.slide(observation)
-        self._clock += 1  # only once the window has accepted the observation
-        if self._clock <= self._quiet_until:
+        clock = self._window.slide(observation)._clock  # advanced only on acceptance
+        if clock <= self._quiet_until:
             return []
         triples = self._current_triples()
         # Family by family, the warm (shortest) windows against its leading thresholds.
@@ -301,8 +307,8 @@ class Detector:
         ]
         if not hits:
             return []
-        self._quiet_until = self._clock + self._gap
-        return _build_events([self._clock] * len(hits), *zip(*hits))
+        self._quiet_until = clock + self._gap
+        return _build_events([clock] * len(hits), *zip(*hits))
 
     def pooled_statistics(self) -> PooledStatistics:
         """Pooled excess statistics at the current clock.

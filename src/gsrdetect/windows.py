@@ -161,42 +161,6 @@ class SpanningDecomposition:
     w_btw: float
 
 
-class _Prefixes:
-    """The state that the windows of every length on one stream share.
-
-    Each anchor row A, a multiple of ``_BLOCK``, starts a history of the
-    kernel's ``S1`` and ``S2`` centred on that row, from ``S1[0] = 0``, of
-    which the latest 2 max(n) positions are kept.  Length n's window starting
-    at row q reads the history anchored on ``q - q % _BLOCK``, as
-    ``_blocks`` anchors it, so an older history is extended until the longest
-    window starts at or after the next anchor: about 2 max(n) rows in each
-    ``_BLOCK``.
-    """
-
-    def __init__(self, lengths: tuple[int, ...], dim: int):
-        k = len(lengths)
-        self.lengths, self.dim, self.shape = lengths, dim, (dim,)
-        self.clock = 0  # observations accepted
-        self.depth = 2 * lengths[-1]  # positions kept per history
-        self.obs = deque(maxlen=self.depth)  # copies of the latest observations
-        # Per live anchor, oldest first: its row index, the row, and its S1 and S2 histories.
-        self.histories: list = []
-        self.sums: dict = {}  # warm n: |L|^2, |R|^2, L.R, w_left and w_right before clamping
-        self.origin = np.zeros(dim)  # S1[0] of every history
-        # Reused rows c, L and R of each n, and a spare: every einsum reduces two
-        # rows or more, as the batch path reduces them (einsum splits a lone long
-        # row differently).  A length's rows stay zero until it is warm.
-        self.rows = np.zeros((2 * k + 2, dim))
-        self.centred = self.rows[0]
-        # Each n's L against its R, and then the shortest n's R against the spare.
-        self.pairs = (self.rows[1 : k + 2], self.rows[k + 1 :])
-        # Each n's rows, and -1: the history every length reads while only one is in use.
-        self.slots = [
-            (n, self.rows[1 + i], self.rows[1 + k + i], -1) for i, n in enumerate(lengths)
-        ]
-        self.older = np.zeros((2, dim))  # c on an older anchor, and a spare
-
-
 class ObservationWindow:
     """The last 2n observations, oldest first, with anchored prefix sums, for one n or several.
 
@@ -216,19 +180,33 @@ class ObservationWindow:
     are anchored on every ``_BLOCK``-th row from its first observation on, the
     rows that ``sliding_spanning_stats`` anchors on, so constant streams yield
     exactly zero distances and :meth:`decompose` equals the batch path bit for
-    bit.
+    bit.  Each anchor row A starts a history of the kernel's ``S1`` and ``S2``
+    centred on that row, from ``S1[0] = 0``, of which the latest 2 max(n)
+    positions are kept.  Length n's window starting at row q reads the history
+    anchored on ``q - q % _BLOCK``, as ``_blocks`` anchors it, so an older
+    history is extended until the longest window starts at or after the next
+    anchor: about 2 max(n) rows in each ``_BLOCK``.
     """
 
     def __init__(self, half_length: int | Sequence[int], dim: int):
         lengths = _checks.half_lengths([half_length] if np.ndim(half_length) == 0 else half_length)
-        self._s = _Prefixes(tuple(sorted(lengths)), _checks.whole(dim, "dimension", 1))
-        self._n = max(lengths)
-
-    def _of_length(self, n: int) -> "ObservationWindow":
-        """The window of length n on this window's observations, which slide with it."""
-        view = object.__new__(ObservationWindow)
-        view._s, view._n = self._s, n
-        return view
+        self._lengths = lengths = tuple(sorted(lengths))
+        self._dim = dim = _checks.whole(dim, "dimension", 1)
+        self._n, k = lengths[-1], len(lengths)
+        self._clock = 0  # observations accepted
+        self._obs = deque(maxlen=2 * self._n)  # copies of the latest observations
+        # Per live anchor, oldest first: its row index, the row, and its S1 and S2 histories.
+        self._histories: list = []
+        self._sums: dict = {}  # warm n: |L|^2, |R|^2, L.R, w_left and w_right before clamping
+        # Reused rows c, L and R of each n, and a spare: every einsum reduces two
+        # rows or more, as the batch path reduces them (einsum splits a lone long
+        # row differently).  A length's rows stay zero until it is warm.
+        self._rows = rows = np.zeros((2 * k + 2, dim))
+        # Each n's L against its R, and then the shortest n's R against the spare.
+        self._pairs = (rows[1 : k + 2], rows[k + 1 :])
+        # Each n's rows, and -1: the history every length reads while only one is in use.
+        self._slots = [(n, rows[1 + i], rows[1 + k + i], -1) for i, n in enumerate(lengths)]
+        self._older = np.zeros((2, dim))  # c on an older anchor, and a spare
 
     @classmethod
     def from_observations(cls, observations) -> "ObservationWindow":
@@ -247,35 +225,33 @@ class ObservationWindow:
 
     @property
     def dimension(self) -> int:
-        return self._s.dim
+        return self._dim
 
     @property
     def count(self) -> int:
         """Observations currently buffered (at most 2n)."""
-        return min(self._s.clock, 2 * self._n)
+        return min(self._clock, 2 * self._n)
 
     @property
     def is_warm(self) -> bool:
-        return self._s.clock >= 2 * self._n
+        return self._clock >= 2 * self._n
 
     def left_half(self) -> np.ndarray:
         """Copy of the n oldest observations, oldest first (warm windows only)."""
         self._require_warm(self._n)
-        return np.array(self._s.obs)[-2 * self._n : -self._n]
+        return np.array(self._obs)[-2 * self._n : -self._n]
 
     def right_half(self) -> np.ndarray:
         """Copy of the n newest observations, oldest first (warm windows only)."""
         self._require_warm(self._n)
-        return np.array(self._s.obs)[-self._n :]
+        return np.array(self._obs)[-self._n :]
 
     def _require_warm(self, n) -> None:
-        s = self._s
-        if n not in s.lengths:
-            raise ValueError(f"no window of half-length {n!r}: the half-lengths are {s.lengths}")
-        if s.clock < 2 * n:
-            raise ValueError(
-                f"window not warm: has {min(s.clock, 2 * n)} of {2 * n} observations"
-            )
+        lengths, clock = self._lengths, self._clock
+        if n not in lengths:
+            raise ValueError(f"no window of half-length {n!r}: the half-lengths are {lengths}")
+        if clock < 2 * n:
+            raise ValueError(f"window not warm: has {min(clock, 2 * n)} of {2 * n} observations")
 
     def slide(self, incoming) -> "ObservationWindow":
         """Feed one observation to the window of every length.
@@ -287,46 +263,44 @@ class ObservationWindow:
         L and R, and one the cross products.  A rejected observation changes
         nothing.  Returns the (mutated) window itself.
         """
-        s = self._s
+        dim, depth, rows = self._dim, 2 * self._n, self._rows
         y = np.array(incoming, dtype=float)
-        if y.shape != s.shape:
-            y = _as_observation(y, s.dim)
-        clock, block, histories = s.clock + 1, _BLOCK, s.histories
-        if histories and clock - s.depth >= histories[0][0] + block:
+        if y.shape != (dim,):
+            y = _as_observation(y, dim)
+        clock, block, histories = self._clock + 1, _BLOCK, self._histories
+        if histories and clock - depth >= histories[0][0] + block:
             histories = histories[1:]  # the longest window has left the oldest anchor's block
         newest = (clock - 1) // block  # the anchor block of the incoming row
         if newest * block == clock - 1:  # an anchor row, checked in full before it anchors
-            y = _as_observation(y, s.dim)
-            start = (clock - 1, y, deque([s.origin], s.depth), deque([0.0], s.depth))
+            y = _as_observation(y, dim)
+            start = (clock - 1, y, deque([np.zeros(dim)], depth), deque([0.0], depth))
             histories = [*histories, start]
         # Each history's S1 at the new row, and |c|^2 on the older anchors.
-        s1s, sqs = [], []
+        s1s, sqs, older = [], [], self._older
         for _, anchor, pre, _ in histories[:-1]:
-            np.subtract(y, anchor, out=s.older[0])
-            s1s.append(pre[-1] + s.older[0])
-            sqs.append(np.einsum("ij,ij->i", s.older, s.older).tolist()[0])
+            s1s.append(pre[-1] + np.subtract(y, anchor, out=older[0]))
+            sqs.append(np.einsum("ij,ij->i", older, older).tolist()[0])
         _, anchor, pre, _ = histories[-1]
-        np.subtract(y, anchor, out=s.centred)
-        s1s.append(pre[-1] + s.centred)
+        s1s.append(pre[-1] + np.subtract(y, anchor, out=rows[0]))  # c, in the row buffer
         # Each warm n's rows, and the history its window reads, counted from the newest.
-        if len(histories) == 1 and clock >= s.depth:
-            warm = s.slots  # every length is warm and reads the one history
+        if len(histories) == 1 and clock >= depth:
+            warm = self._slots  # every length is warm and reads the one history
         else:
             warm = [(n, left, right, (clock - 2 * n) // block - newest - 1)
-                    for n, left, right, _ in s.slots if 2 * n <= clock]
+                    for n, left, right, _ in self._slots if 2 * n <= clock]
         for n, left, right, h in warm:
             pre = histories[h][2]
             np.subtract(pre[-n], pre[-2 * n], out=left)
             np.subtract(s1s[h], pre[-n], out=right)
-        norms = np.einsum("ij,ij->i", s.rows, s.rows).tolist()
-        cross = np.einsum("ij,ij->i", *s.pairs).tolist()
+        norms = np.einsum("ij,ij->i", rows, rows).tolist()
+        cross = np.einsum("ij,ij->i", *self._pairs).tolist()
         # The squared norm is non-finite if the observation is (or overflows).
         if not math.isfinite(norms[0]) and not np.all(np.isfinite(y)):
             raise ValueError("observation contains non-finite values")
 
         sqs.append(norms[0])
         s2s = [history[3][-1] + sq for history, sq in zip(histories, sqs)]
-        sums, right_norms = {}, norms[1 + len(s.slots) :]
+        sums, right_norms = {}, norms[1 + len(self._slots) :]
         for (n, _, _, h), left_sq, right_sq, lr in zip(warm, norms[1:], right_norms, cross):
             pre_sq = histories[h][3]
             w_left = (pre_sq[-n] - pre_sq[-2 * n]) * n - left_sq
@@ -334,8 +308,8 @@ class ObservationWindow:
         for (_, _, pre, pre_sq), s1, s2 in zip(histories, s1s, s2s):
             pre.append(s1)
             pre_sq.append(s2)
-        s.obs.append(y)
-        s.clock, s.histories, s.sums = clock, histories, sums
+        self._obs.append(y)
+        self._clock, self._histories, self._sums = clock, histories, sums
         return self
 
     def decompose(self, half_length: int | None = None) -> SpanningDecomposition:
@@ -344,7 +318,7 @@ class ObservationWindow:
         ``None`` names the window's own length, the longest of several.
         """
         n = self._n if half_length is None else half_length
-        sums = self._s.sums.get(n)
+        sums = self._sums.get(n)
         if sums is None:
             self._require_warm(n)
         left_sq, right_sq, cross, w_left, w_right = sums

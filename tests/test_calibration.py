@@ -433,10 +433,23 @@ class TestTableSerialization:
              "threshold for (mu, n=5) is not a real number: '3'"),
             (lambda: ThresholdEntry("nu", 5, 0.01, 2.5, "analytic"),
              "'nu' is not a valid StatKind"),
+            (lambda: ThresholdTable.from_json(_provenance_json("seed", '"abc"')),
+             "seed must be a whole number of at least 0, got 'abc'"),
+            (lambda: ThresholdTable.from_json(_provenance_json("K", "-5")),
+             "replications must be a whole number of at least 1, got -5"),
+            (lambda: ThresholdTable.from_json(_provenance_json("N", "true")),
+             "zone_length must be a whole number of at least 1, got True"),
+            (lambda: ThresholdTable(dimension=2, entries=(), seed=-1),
+             "seed must be a whole number of at least 0, got -1"),
+            (lambda: ThresholdTable(dimension=2, entries=(), replications=2.5),
+             "replications must be a whole number of at least 1, got 2.5"),
+            (lambda: ThresholdTable(dimension=2, entries=(), zone_length=0),
+             "zone_length must be a whole number of at least 1, got 0"),
         ],
         ids=["dimension-fraction", "dimension-0", "dimension-bool", "n-fraction", "n-below-2",
              "n-bool", "rho-nan", "rho-minus-inf", "alpha-above-1", "alpha-negative",
-             "rho-string", "kind-unknown"],
+             "rho-string", "kind-unknown", "json-seed-string", "json-K-negative",
+             "json-N-bool", "seed-negative", "replications-fraction", "zone-length-0"],
     )
     def test_tables_built_in_code_are_checked(self, build, message):
         # each was once accepted; a NaN threshold then never fired
@@ -457,6 +470,12 @@ class TestTableSerialization:
         table = ThresholdTable(dimension=np.int64(2), entries=(entry, whole_float))
         assert [type(e.n) for e in table.entries] == [int, int] and type(table.dimension) is int
         assert table.threshold(StatKind.SIGMA_PLUS, 4) == 1.5
+
+
+def _provenance_json(field: str, value: str) -> str:
+    """A table's JSON whose provenance ``field`` reads the JSON text ``value``."""
+    text = ThresholdTable(dimension=2, entries=()).to_json()
+    return text.replace(f'"{field}": null', f'"{field}": {value}')
 
 
 def _loop_outcome(draw, count=12):

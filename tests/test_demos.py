@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that drive ObservationWindow, Detector.step and the power studies."""
+"""Smoke runs of every demo, from ObservationWindow to the power studies."""
 
 import os
 import subprocess
@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     "demo",
     [
         "01_spanning_windows.py",
+        "02_null_distributions.py",
+        "03_threshold_calibration.py",  # the only demo that sets base_mean and base_scale
         "04_online_detection.py",
         "05_power_bounds.py",
         "06_detection_power_study.py",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -318,9 +319,9 @@ def test_step_decomposes_and_tests_each_warm_window_once_per_tested_tick(monkeyp
     calls = []
     decompose, compute_gsr = ObservationWindow.decompose, detector_module.compute_gsr
 
-    def spy_decompose(window):
-        calls.append(("decompose", window.half_length))
-        return decompose(window)
+    def spy_decompose(window, half_length=None):
+        calls.append(("decompose", window.half_length if half_length is None else half_length))
+        return decompose(window, half_length)
 
     def spy_compute_gsr(decomp, t):
         calls.append(("compute_gsr", t))
@@ -774,6 +775,21 @@ class TestEventSerialization:
         for field, value, message in bad:
             with pytest.raises(ValueError, match=message):
                 events_from_jsonl(json.dumps({**events[0].as_dict(), field: value}))
+        # an unknown kind was once read as an event, a missing field raised a bare
+        # KeyError and a line that is not an object a TypeError
+        kinds = ("MeanChange", "VarianceIncrease", "VarianceDecrease")
+        for kind in (5, "bogus", None):
+            message = re.escape(f"kind must be one of {kinds}, got {kind!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                events_from_jsonl(json.dumps({**events[0].as_dict(), "kind": kind}))
+        for field in events[0].as_dict():
+            record = {k: v for k, v in events[0].as_dict().items() if k != field}
+            with pytest.raises(ValueError, match=f"^event record lacks the field '{field}'$"):
+                events_from_jsonl(f"{text}{json.dumps(record)}\n")
+        for line, name in (("[1, 2]", "list"), ('"MeanChange"', "str"), ("7", "int")):
+            message = f"^event record must be a JSON object, got {name}$"
+            with pytest.raises(ValueError, match=message):
+                events_from_jsonl(line)
 
     def test_jsonl_field_names(self):
         event = DetectionEvent("VarianceDecrease", 3, 5, 1.5, 1.2, 7)
