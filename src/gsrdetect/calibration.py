@@ -59,6 +59,12 @@ DEFAULT_REPLICATIONS = 2000
 _BATCH_VALUES = 2**17
 
 
+# What a threshold entry may record as its origin.
+_PROVENANCES = ("monte_carlo", "analytic")
+# A Monte Carlo table's counts: (attribute, JSON key, least value) of each.
+_COUNTS = (("seed", "seed", 0), ("replications", "K", 1), ("zone_length", "N", 1))
+
+
 class CalibrationError(ValueError):
     """Calibration cannot produce the requested thresholds."""
 
@@ -169,7 +175,7 @@ class ThresholdEntry:
     n: int
     alpha: float
     rho: float
-    provenance: str  # "monte_carlo" | "analytic"
+    provenance: str  # one of _PROVENANCES
 
     def __post_init__(self):
         object.__setattr__(self, "kind", StatKind(self.kind))
@@ -180,6 +186,10 @@ class ThresholdEntry:
             raise ValueError(f"threshold for {self._pair()} is not a real number: {self.rho!r}")
         if not math.isfinite(self.rho):
             raise ValueError(f"threshold for {self._pair()} is not finite: {self.rho}")
+        object.__setattr__(self, "rho", float(self.rho))
+        if self.provenance not in _PROVENANCES:
+            raise ValueError(f"provenance of {self._pair()} must be one of {_PROVENANCES}, "
+                             f"got {self.provenance!r}")
 
     def _pair(self) -> str:
         """The entry's name in a failure's message, formatted only then."""
@@ -204,7 +214,7 @@ class ThresholdTable:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _table_whole(self.dimension, "dimension", 1))
-        for name, least in (("seed", 0), ("replications", 1), ("zone_length", 1)):
+        for name, _, least in _COUNTS:
             if (value := getattr(self, name)) is not None:  # provenance, where known
                 object.__setattr__(self, name, _table_whole(value, name, least))
         index = {(e.kind, e.n): e for e in self.entries}
@@ -229,9 +239,7 @@ class ThresholdTable:
         doc = {
             "version": TABLE_FORMAT_VERSION,
             "dimension": self.dimension,
-            "seed": self.seed,
-            "K": self.replications,
-            "N": self.zone_length,
+            **{key: getattr(self, name) for name, key, _ in _COUNTS},
             "entries": [
                 {
                     "kind": e.kind.value,
@@ -256,11 +264,8 @@ class ThresholdTable:
         try:
             entries = tuple(
                 ThresholdEntry(
-                    kind=StatKind(e["kind"]),
-                    n=_json_number(e["n"], "n"),
-                    alpha=float(_json_number(e["alpha"], "alpha")),
-                    rho=float(_json_number(e["rho"], "rho")),
-                    provenance=str(e["provenance"]),
+                    e["kind"], *[_json_number(e[key], key) for key in ("n", "alpha", "rho")],
+                    e["provenance"],
                 )
                 for e in doc["entries"]
             )
@@ -269,13 +274,7 @@ class ThresholdTable:
             raise ValueError(f"threshold table lacks the field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"threshold table has a field of the wrong type: {exc}") from None
-        return cls(
-            dimension=dimension,
-            entries=entries,
-            seed=doc.get("seed"),
-            replications=doc.get("K"),
-            zone_length=doc.get("N"),
-        )
+        return cls(dimension, entries, **{name: doc.get(key) for name, key, _ in _COUNTS})
 
 
 def _json_number(value, name: str):

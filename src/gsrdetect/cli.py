@@ -184,8 +184,26 @@ def read_stream_csv(path: str, time_column: bool = False) -> np.ndarray:
 
 
 def write_stream_csv(path: str, data: np.ndarray, header: list[str] | None = None) -> None:
-    """Write a (T, d) stream as CSV with full float round-trip precision."""
+    """Write a (T, d) stream as CSV with full float round-trip precision.
+
+    Only a file that :func:`read_stream_csv` reads back bit for bit is written:
+    the stream must be finite, with at least one row and one column, and a
+    header must hold one string per column and read as a header.  Anything
+    else raises ``ValueError`` before the file is opened.
+    """
     arr = np.asarray(data, dtype=float)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"stream must be a (T, d) array with T, d >= 1, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("stream contains non-finite values, which no stream CSV may hold")
+    if header is not None:
+        if len(header) != arr.shape[1]:
+            raise ValueError(f"header {header!r} must have {arr.shape[1]} cells, one per column")
+        # csv before Python 3.11 reads no NUL
+        if not all(isinstance(c, str) and "\0" not in c for c in header):
+            raise ValueError(f"header cells must be strings without NUL, got {header!r}")
+        if not _layout([list(header), [repr(float(v)) for v in arr[0]]], False)[0]:
+            raise ValueError(f"header {header!r} would be read as a data row")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if header is not None:

@@ -93,7 +93,7 @@ def _as_observation(y, dim: int | None = None) -> np.ndarray:
 
 
 def _stack_rows(observations) -> np.ndarray:
-    """Coerce a block of observations to an (m, d) float matrix.
+    """Coerce a block of observations to an (m, d) float matrix, d at least 1.
 
     Rows given as a sequence are validated one by one; the finiteness of a
     2-D array is left to the caller.
@@ -111,6 +111,7 @@ def _stack_rows(observations) -> np.ndarray:
                     f"dimension mismatch: expected {d}, got {r.shape[0]}"
                 )
         mat = np.vstack(rows)
+    _checks.whole(mat.shape[1], "dimension", 1)
     return mat
 
 

@@ -445,11 +445,18 @@ class TestTableSerialization:
              "replications must be a whole number of at least 1, got 2.5"),
             (lambda: ThresholdTable(dimension=2, entries=(), zone_length=0),
              "zone_length must be a whole number of at least 1, got 0"),
+            (lambda: ThresholdEntry(StatKind.MU, 5, 0.01, 2.5, None),
+             "provenance of (mu, n=5) must be one of ('monte_carlo', 'analytic'), got None"),
+            (lambda: ThresholdEntry(StatKind.MU, 5, 0.01, 2.5, 5),
+             "provenance of (mu, n=5) must be one of ('monte_carlo', 'analytic'), got 5"),
+            (lambda: ThresholdEntry(StatKind.MU, 5, 0.01, 2.5, "bogus"),
+             "provenance of (mu, n=5) must be one of ('monte_carlo', 'analytic'), got 'bogus'"),
         ],
         ids=["dimension-fraction", "dimension-0", "dimension-bool", "n-fraction", "n-below-2",
              "n-bool", "rho-nan", "rho-minus-inf", "alpha-above-1", "alpha-negative",
              "rho-string", "kind-unknown", "json-seed-string", "json-K-negative",
-             "json-N-bool", "seed-negative", "replications-fraction", "zone-length-0"],
+             "json-N-bool", "seed-negative", "replications-fraction", "zone-length-0",
+             "provenance-none", "provenance-int", "provenance-unknown"],
     )
     def test_tables_built_in_code_are_checked(self, build, message):
         # each was once accepted; a NaN threshold then never fired

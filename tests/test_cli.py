@@ -84,6 +84,29 @@ class TestReadStreamCsv:
         assert f.read_bytes().startswith(b"x1,x2,x3\r\n")
         np.testing.assert_array_equal(read_stream_csv(str(f)), data)
 
+    @pytest.mark.parametrize(
+        "data, header, message",
+        [
+            (np.ones((2, 2)), ["1", "2"], "header ['1', '2'] would be read as a data row"),
+            (np.array([[1.0, np.nan]]), None, "stream contains non-finite values"),
+            (np.ones(3), None, "stream must be a (T, d) array with T, d >= 1, got shape (3,)"),
+            (np.ones((0, 2)), None, "got shape (0, 2)"),
+            (np.ones((2, 0)), None, "got shape (2, 0)"),
+            (np.ones((2, 2)), ["x"], "header ['x'] must have 2 cells, one per column"),
+            (np.ones((2, 2)), ["x", 2], "header cells must be strings without NUL"),
+            (np.ones((2, 2)), ["x", "y\0"], "header cells must be strings without NUL"),
+        ],
+        ids=["numeric-header", "nan", "1-d", "no-rows", "no-columns", "narrow-header",
+             "number-in-header", "nul-in-header"],
+    )
+    def test_writer_writes_only_what_reads_back(self, tmp_path, data, header, message):
+        # each was once written, and then read back otherwise, rejected, or left half-written
+        f = tmp_path / "s.csv"
+        with pytest.raises(ValueError) as exc:
+            write_stream_csv(str(f), data, header)
+        assert message in str(exc.value)
+        assert not f.exists()
+
 
 
 _TS = ("2015-01-02", "2015-01-05T10:00:00", "2015-01-06")
@@ -512,10 +535,13 @@ class TestDetectCommand:
              "dimension must be a whole number of at least 1, got 0"),
             (lambda doc: doc | {"entries": [e | {"alpha": 7.5} for e in doc["entries"]]},
              "alpha for (mu, n=5) not in (0, 1): 7.5"),
+            # once read as the provenance "None", and written back so
+            (lambda doc: doc | {"entries": [e | {"provenance": None} for e in doc["entries"]]},
+             "provenance of (mu, n=5) must be one of ('monte_carlo', 'analytic'), got None"),
         ],
         ids=["entries-int", "entry-list", "top-level-list", "dimension-null", "rho-nan", "rho-inf",
              "rho-bool", "alpha-bool", "n-bool", "dimension-bool", "n-fraction", "n-below-2",
-             "dimension-below-1", "alpha-above-1"],
+             "dimension-below-1", "alpha-above-1", "provenance-null"],
     )
     def test_table_wrong_shape_exits_2(self, tmp_path, calibrated_table, capsys, reshape, message):
         table = tmp_path / "shape.json"

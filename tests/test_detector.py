@@ -773,15 +773,22 @@ class TestEventSerialization:
             ("threshold", "2.5", "^threshold must be finite, got '2.5'$"),
         ]
         for field, value, message in bad:
+            record = {**events[0].as_dict(), field: value}
             with pytest.raises(ValueError, match=message):
-                events_from_jsonl(json.dumps({**events[0].as_dict(), field: value}))
-        # an unknown kind was once read as an event, a missing field raised a bare
-        # KeyError and a line that is not an object a TypeError
+                events_from_jsonl(json.dumps(record))
+            with pytest.raises(ValueError, match=message):  # an event built in code
+                DetectionEvent(**record)
+        # an unknown kind was once read as an event, and built in code was written as one
+        # that could not be read back; a missing field raised a bare KeyError and a line
+        # that is not an object a TypeError
         kinds = ("MeanChange", "VarianceIncrease", "VarianceDecrease")
         for kind in (5, "bogus", None):
             message = re.escape(f"kind must be one of {kinds}, got {kind!r}")
+            record = {**events[0].as_dict(), "kind": kind}
             with pytest.raises(ValueError, match=f"^{message}$"):
-                events_from_jsonl(json.dumps({**events[0].as_dict(), "kind": kind}))
+                events_from_jsonl(json.dumps(record))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                DetectionEvent(**record)
         for field in events[0].as_dict():
             record = {k: v for k, v in events[0].as_dict().items() if k != field}
             with pytest.raises(ValueError, match=f"^event record lacks the field '{field}'$"):

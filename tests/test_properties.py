@@ -1,5 +1,6 @@
 """Generated-input equivalences between the batch kernel's callers and the step path,
-and between the CSV reader's vectorised parse and its cell-by-cell reference.
+between the CSV reader's vectorised parse and its cell-by-cell reference, and between
+a stream the CSV writer writes and the one the reader reads back.
 
 Blocks are shortened to 16 window positions (16 to 64 where a stream's scan
 is split between two threads), so streams of a few dozen rows cross several
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gsrdetect import calibration as calibration_module
 from gsrdetect import windows as windows_module
@@ -24,7 +26,7 @@ from gsrdetect.calibration import (
     _replication_maxima,
     calibration_maxima,
 )
-from gsrdetect.cli import _parse_cells, read_stream_csv
+from gsrdetect.cli import _parse_cells, read_stream_csv, write_stream_csv
 from gsrdetect.detector import Detector, DetectorConfig, detect_stream
 from gsrdetect.distributions import derived_rng
 from gsrdetect.ratios import StatKind, sliding_gsr
@@ -319,3 +321,23 @@ def test_csv_reader_equals_cell_by_cell_parse(csv_path, case):
     assert parse_outcome(read_stream_csv, path, time_column) == parse_outcome(
         _parse_cells, path, time_column
     )
+
+
+@st.composite
+def written_streams(draw):
+    """(stream, header): a finite (T, d) array of any floats, and None or one cell per
+    column of any text but NUL, each cell led by a letter so that it reads as a header."""
+    d = draw(st.integers(1, 6))
+    data = draw(arrays(float, (draw(st.integers(1, 8)), d),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)))
+    cells = st.text(st.characters(codec="utf-8", exclude_characters="\0")).map("x".__add__)
+    return data, draw(st.none() | st.lists(cells, min_size=d, max_size=d))
+
+
+@_settings(200)
+@given(written_streams())
+def test_written_stream_csv_reads_back_bit_for_bit(csv_path, case):
+    data, header = case
+    write_stream_csv(str(csv_path), data, header)
+    back = read_stream_csv(str(csv_path))
+    assert back.shape == data.shape and back.tobytes() == data.tobytes()

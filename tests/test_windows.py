@@ -538,8 +538,13 @@ def test_dimension_must_be_a_whole_number():
     for dim in (2.5, True, np.True_):
         with pytest.raises(ValueError, match="^dimension must be a whole number"):
             ObservationWindow(5, dim)
-    with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
-        ObservationWindow(5, 0)
+    # batch input of width 0 once gave zero distances
+    for zero_width in (lambda: ObservationWindow(5, 0),
+                       lambda: sliding_spanning_stats(np.zeros((10, 0)), 2),
+                       lambda: sliding_spanning_stats([[], [], [], []], 2),
+                       lambda: spanning_distance(np.zeros((3, 0)))):
+        with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
+            zero_width()
     win = ObservationWindow(5, 3.0)
     assert win.dimension == 3 and type(win.dimension) is int
 
